@@ -293,7 +293,6 @@ pub mod cache_policy {
 pub mod tiered_fp {
     use super::*;
     use crate::drivers::run_closed_loop_with_background;
-    use dedup_core::TieredIndexConfig;
 
     const CHUNK: u32 = 32 * 1024;
     const BLOCK: u64 = 8 * 1024;
@@ -387,9 +386,7 @@ pub mod tiered_fp {
         );
         let tiered = drive(
             "tiered",
-            DedupConfig::with_chunk_size(CHUNK)
-                .tiered_fingerprint()
-                .tiered_index(TieredIndexConfig::default()),
+            DedupConfig::with_chunk_size(CHUNK).tiered_fingerprint(),
             ops,
             &mut sidecar,
         );

@@ -89,39 +89,6 @@ impl Default for HitSetConfig {
     }
 }
 
-/// Sizing of the memory-bounded tiered chunk index
-/// ([`crate::TieredIndex`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TieredIndexConfig {
-    /// Maximum candidate entries resident in the hot in-memory tier;
-    /// overflow is demoted into cold sorted runs.
-    pub hot_capacity: usize,
-    /// Cold sorted runs tolerated before a merge compaction.
-    pub max_runs: usize,
-    /// Records per fence block in a cold run (one fence pointer every
-    /// this many records).
-    pub fence_every: usize,
-    /// Hotness signal driving cold→hot promotion: a signature probed
-    /// `hit_count` times within the retained window is promoted.
-    pub heat: HitSetConfig,
-}
-
-impl Default for TieredIndexConfig {
-    fn default() -> Self {
-        TieredIndexConfig {
-            hot_capacity: 4096,
-            max_runs: 4,
-            fence_every: 64,
-            heat: HitSetConfig {
-                interval_secs: 1,
-                intervals: 8,
-                hit_count: 2,
-                bloom_bits: 1 << 14,
-            },
-        }
-    }
-}
-
 /// Which bytes the flush-path fingerprint (and the tiered pipeline's
 /// [`dedup_fingerprint::ChunkSig`]) covers when inline compression is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -215,18 +182,6 @@ impl Default for CompressionConfig {
     }
 }
 
-/// Which [`crate::ChunkIndex`] implementation the engine builds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub enum ChunkIndexKind {
-    /// The historical flat in-memory state: Bloom gate plus an unbounded
-    /// candidate map. Default; byte-identical figures.
-    #[default]
-    Flat,
-    /// Memory-bounded hot/cold tiers: a small hot map driven by the
-    /// HitSet hotness signal over a cold tier of compact sorted runs.
-    Tiered(TieredIndexConfig),
-}
-
 /// Full configuration of the deduplication layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DedupConfig {
@@ -276,9 +231,6 @@ pub struct DedupConfig {
     /// without ever being fully hashed. Off by default; the default path
     /// is byte-identical to the classic engine.
     pub tiered_fingerprint: bool,
-    /// Chunk index implementation (flat default, or memory-bounded
-    /// hot/cold tiers).
-    pub chunk_index: ChunkIndexKind,
     /// Reconstructs the pre-RwLock foreground plane for A/B
     /// benchmarking: reads take their shard lock in *exclusive* mode, so
     /// same-shard reads serialize exactly as with the historical
@@ -305,7 +257,6 @@ impl Default for DedupConfig {
             foreground_shards: 16,
             bloom: BloomConfig::default(),
             tiered_fingerprint: false,
-            chunk_index: ChunkIndexKind::Flat,
             exclusive_shard_reads: false,
             compression: CompressionConfig::default(),
         }
@@ -408,12 +359,6 @@ impl DedupConfig {
         self
     }
 
-    /// Switches the chunk index to the memory-bounded hot/cold tiers.
-    pub fn tiered_index(mut self, index: TieredIndexConfig) -> Self {
-        self.chunk_index = ChunkIndexKind::Tiered(index);
-        self
-    }
-
     /// Enables inline chunk-pool compression (raw fingerprint domain).
     pub fn compress(mut self) -> Self {
         self.compression.enabled = true;
@@ -459,7 +404,6 @@ mod tests {
         assert_eq!(c.foreground_shards, 16, "default namespace striping");
         assert_eq!(c.bloom, BloomConfig::default(), "historical bloom sizing");
         assert!(!c.tiered_fingerprint, "tiered pipeline is opt-in");
-        assert_eq!(c.chunk_index, ChunkIndexKind::Flat, "flat index default");
         assert!(!c.compression.enabled, "compression is opt-in");
         assert_eq!(c.compression.domain, FingerprintDomain::Raw);
         assert_eq!(c.compression.max_ratio_ppm, 900_000);
@@ -486,18 +430,10 @@ mod tests {
     fn tiered_builders_compose() {
         let c = DedupConfig::default()
             .bloom(1 << 16, 6)
-            .tiered_fingerprint()
-            .tiered_index(TieredIndexConfig {
-                hot_capacity: 128,
-                ..TieredIndexConfig::default()
-            });
+            .tiered_fingerprint();
         assert_eq!(c.bloom.bits, 1 << 16);
         assert_eq!(c.bloom.probes, 6);
         assert!(c.tiered_fingerprint);
-        match c.chunk_index {
-            ChunkIndexKind::Tiered(t) => assert_eq!(t.hot_capacity, 128),
-            ChunkIndexKind::Flat => panic!("expected tiered index"),
-        }
     }
 
     #[test]

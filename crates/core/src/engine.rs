@@ -25,7 +25,7 @@ use crate::chunkmap::ChunkMapEntry;
 use crate::config::{CachePolicy, DedupConfig, DedupMode, FingerprintDomain};
 use crate::error::DedupError;
 use crate::hitset::SharedHitSet;
-use crate::index::{build_index, ChunkIndex};
+use crate::index::ChunkIndex;
 use crate::metrics::EngineMetrics;
 use crate::pipeline::{fingerprint_batch, StagedBatch, StagedChunk, StagedObject};
 use crate::queue::DirtyQueue;
@@ -221,12 +221,13 @@ pub struct DedupStore {
     /// keeps every emission site a single branch — the same
     /// zero-cost-when-off contract as the tracer.
     events: Option<EventLog>,
-    /// The chunk index: Bloom-gated negative lookups plus (in tiered
-    /// mode) the signature → candidate map behind the tiered fingerprint
-    /// pipeline. Every chunk creation goes through
-    /// [`DedupStore::store_chunk`], which registers here before the chunk
-    /// becomes visible, so a definite "absent" answer is always safe.
-    index: Box<dyn ChunkIndex>,
+    /// The chunk index: Bloom-gated negative lookups plus (with
+    /// [`DedupConfig::tiered_fingerprint`]) the signature → candidate map
+    /// behind the tiered fingerprint pipeline. Every chunk creation goes
+    /// through [`DedupStore::store_chunk`], which registers here before
+    /// the chunk becomes visible, so a definite "absent" answer is always
+    /// safe.
+    index: ChunkIndex,
     /// Monotonic sequence for minted weak chunk names; resumed past the
     /// highest surviving sequence at recovery so names are never reused.
     weak_seq: AtomicU64,
@@ -258,7 +259,7 @@ impl DedupStore {
         cluster.attach_registry(registry.clone());
         let shard_count = config.foreground_shards.max(1);
         let metrics = EngineMetrics::new(registry, SimDuration::from_secs(1), shard_count);
-        let index = build_index(config.bloom, &config.chunk_index);
+        let index = ChunkIndex::new(config.bloom);
         DedupStore {
             cluster,
             metadata_pool,
@@ -413,30 +414,9 @@ impl DedupStore {
         self.index.bloom_fill_ratio()
     }
 
-    /// Estimated resident bytes of the chunk index.
-    pub fn index_resident_bytes(&self) -> u64 {
-        self.index.resident_bytes()
-    }
-
-    /// The chunk index's declared memory bound at its current population
-    /// (`None` for the unbounded flat index).
-    pub fn index_memory_bound(&self) -> Option<u64> {
-        self.index.declared_memory_bound()
-    }
-
     /// Foreground ops routed through each namespace shard since startup.
     pub fn shard_op_counts(&self) -> Vec<u64> {
         self.metrics.shard_ops.iter().map(|c| c.get()).collect()
-    }
-
-    /// Foreground *reads* (shared-mode shard acquisitions) routed through
-    /// each namespace shard since startup.
-    pub fn shard_read_op_counts(&self) -> Vec<u64> {
-        self.metrics
-            .shard_read_ops
-            .iter()
-            .map(|c| c.get())
-            .collect()
     }
 
     /// Foreground *mutations* (exclusive-mode shard acquisitions —
@@ -1638,7 +1618,7 @@ impl DedupStore {
                     (None, false)
                 } else {
                     let s = ChunkSig::of(&content);
-                    let wanted = !self.index.candidates(&s, now).is_empty();
+                    let wanted = !self.index.candidates(&s).is_empty();
                     (Some(s), wanted)
                 }
             } else {
@@ -1660,7 +1640,6 @@ impl DedupStore {
             ticket: self.dirty.lock().ticket(name),
             meta_node,
             keep_cached,
-            staged_at: now,
             chunks,
         }))
     }
@@ -1827,7 +1806,6 @@ impl DedupStore {
             ticket,
             meta_node,
             keep_cached,
-            staged_at,
             chunks,
         } = staged;
         if let Some(ticket) = ticket {
@@ -1923,7 +1901,6 @@ impl DedupStore {
                     domain_len,
                     compressed_domain && encoded,
                     meta_node,
-                    staged_at,
                     &mut costs,
                 )?
             } else {
@@ -2104,14 +2081,13 @@ impl DedupStore {
         len: u64,
         tag_compressed: bool,
         meta_node: usize,
-        staged_at: SimTime,
         costs: &mut Vec<CostExpr>,
     ) -> Result<(Fingerprint, Option<ChunkSig>), DedupError> {
         self.metrics.fp_sig_calls.inc();
         let sig_cost = self.fingerprint_cost(meta_node, SIG_SAMPLE_BYTES.min(len));
         costs.push(self.label("flush.sig_cpu", sig_cost));
         let probe_start = Instant::now();
-        let cands = self.index.candidates(&sig, staged_at);
+        let cands = self.index.candidates(&sig);
         self.metrics
             .index_probe_ns
             .record(probe_start.elapsed().as_nanos() as u64);
@@ -2198,8 +2174,7 @@ impl DedupStore {
     }
 
     /// Publishes the chunk index's health gauges: Bloom fill ratio (with a
-    /// one-shot warning counter on crossing 0.5), resident memory, tier
-    /// populations, and migration counts.
+    /// one-shot warning counter on crossing 0.5) and resident memory.
     fn publish_index_health(&self) {
         let fill = self.index.bloom_fill_ratio();
         self.metrics
@@ -2219,15 +2194,6 @@ impl DedupStore {
         self.metrics
             .index_resident_bytes
             .set(self.index.resident_bytes() as i64);
-        let stats = self.index.stats();
-        self.metrics
-            .index_hot_entries
-            .set(stats.hot_candidates as i64);
-        self.metrics
-            .index_cold_entries
-            .set(stats.cold_records as i64);
-        self.metrics.index_promotions.set(stats.promotions as i64);
-        self.metrics.index_demotions.set(stats.demotions as i64);
     }
 
     fn finish_clean(&self, name: &ObjectName) {
@@ -2441,16 +2407,19 @@ impl DedupStore {
         Ok(self.dirty.lock().len())
     }
 
-    /// Re-seeds the chunk index (Bloom side and, in tiered mode, the
-    /// signature → candidate map) from the chunk pool's current contents.
+    /// Re-seeds the chunk index (Bloom side and, with
+    /// [`DedupConfig::tiered_fingerprint`], the signature → candidate map)
+    /// from the chunk pool's current contents.
     /// Mandatory after WAL replay into a fresh engine: an empty filter
     /// would answer a definite "absent" for a chunk that *does* exist, and
     /// the next [`DedupStore::store_chunk`] of that content would
     /// overwrite its refcount with 1 — a silent double-free waiting to
-    /// happen. In tiered mode the signature map must likewise cover every
-    /// surviving chunk (a signature miss claims uniqueness), and the weak
-    /// name sequence is resumed past the highest surviving sequence so a
-    /// recycled name can never alias different content.
+    /// happen. Under the tiered fingerprint the signature map must
+    /// likewise cover every surviving chunk (a signature miss claims
+    /// uniqueness), so each chunk is read back and re-signed; with it off
+    /// only names are listed. The weak name sequence is resumed past the
+    /// highest surviving sequence so a recycled name can never alias
+    /// different content.
     ///
     /// # Errors
     ///
@@ -2458,8 +2427,6 @@ impl DedupStore {
     pub fn rebuild_index(&mut self) -> Result<usize, DedupError> {
         self.index.clear();
         self.bloom_warned.store(false, Ordering::Relaxed);
-        let tiered = self.config.tiered_fingerprint
-            || !matches!(self.config.chunk_index, crate::config::ChunkIndexKind::Flat);
         // Signatures must be re-derived over the same bytes the live
         // pipeline signs: stored bytes under the compressed fingerprint
         // domain, logical (decompressed) bytes otherwise.
@@ -2472,7 +2439,7 @@ impl DedupStore {
             let Some(fp) = Fingerprint::from_object_name(chunk_name.as_str()) else {
                 continue;
             };
-            let sig = if tiered {
+            let sig = if self.config.tiered_fingerprint {
                 if compressed_domain {
                     let len = self
                         .cluster
@@ -2505,16 +2472,6 @@ impl DedupStore {
         self.weak_seq.fetch_max(max_weak, Ordering::Relaxed);
         self.publish_index_health();
         Ok(seeded)
-    }
-
-    /// Backwards-compatible alias for [`DedupStore::rebuild_index`] (the
-    /// Bloom filter is one face of the chunk index).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the store does.
-    pub fn rebuild_bloom(&mut self) -> Result<usize, DedupError> {
-        self.rebuild_index()
     }
 
     /// Lists chunk objects none of whose back references are live — the

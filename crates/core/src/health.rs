@@ -11,7 +11,6 @@
 //! | component       | degraded                              | critical         |
 //! |-----------------|---------------------------------------|------------------|
 //! | `engine.bloom`  | fill ratio > 0.5                      | fill ratio ≥ 0.9 |
-//! | `engine.index`  | resident ≥ 90% of bound               | resident > bound |
 //! | `service.shard` | write-heavy op skew > 4 (>1k ops)     | —                |
 //! | `engine.flush`  | dirty queue made no progress          | —                |
 //! | `rate`          | band 2 (hardest throttle)             | —                |
@@ -33,8 +32,6 @@ use crate::engine::DedupStore;
 const BLOOM_DEGRADED_FILL: f64 = 0.5;
 /// Bloom fill ratio at which the filter is effectively saturated.
 const BLOOM_CRITICAL_FILL: f64 = 0.9;
-/// Fraction of the declared index memory bound at which we warn.
-const INDEX_NEAR_BOUND: f64 = 0.9;
 /// Shard skew (max ops / mean ops) above which routing is unbalanced.
 const SHARD_SKEW_LIMIT: f64 = 4.0;
 /// Minimum total shard ops before skew is meaningful.
@@ -77,46 +74,6 @@ impl HealthCheck for BloomHealth<'_> {
             status,
             "bloom_overfill",
             format!("bloom gate fill ratio {fill:.3} (degraded > {BLOOM_DEGRADED_FILL}, critical >= {BLOOM_CRITICAL_FILL})"),
-        )]
-    }
-}
-
-/// Chunk-index memory-bound probe. Only indexes that declare a bound
-/// ([`crate::ChunkIndex::declared_memory_bound`], i.e. the tiered index)
-/// are checked; the unbounded flat index is exempt by construction.
-pub struct IndexHealth<'a> {
-    store: &'a DedupStore,
-}
-
-impl<'a> IndexHealth<'a> {
-    /// Probes `store`'s chunk index against its declared memory bound.
-    pub fn new(store: &'a DedupStore) -> Self {
-        IndexHealth { store }
-    }
-}
-
-impl HealthCheck for IndexHealth<'_> {
-    fn component(&self) -> &str {
-        "engine.index"
-    }
-
-    fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
-        let Some(bound) = self.store.index_memory_bound() else {
-            return Vec::new();
-        };
-        let resident = self.store.index_resident_bytes();
-        let status = if resident > bound {
-            HealthStatus::Critical
-        } else if resident as f64 >= bound as f64 * INDEX_NEAR_BOUND {
-            HealthStatus::Degraded
-        } else {
-            return Vec::new();
-        };
-        vec![HealthFinding::new(
-            "engine.index",
-            status,
-            "index_memory",
-            format!("index resident {resident} B vs declared bound {bound} B"),
         )]
     }
 }
@@ -359,7 +316,6 @@ impl DedupStore {
     /// call at any cadence. The first call primes the stall baseline.
     pub fn health_report(&self, now: SimTime) -> HealthReport {
         let bloom = BloomHealth::new(self);
-        let index = IndexHealth::new(self);
         let shards = ShardHealth::new(self);
         let queue = QueueHealth::new(self);
         let rate = RateHealth::new(self);
@@ -368,9 +324,7 @@ impl DedupStore {
         let wal = WalHealth::new(self.cluster());
         HealthReport::collect(
             now,
-            &[
-                &bloom, &index, &shards, &queue, &rate, &compress, &osd, &wal,
-            ],
+            &[&bloom, &shards, &queue, &rate, &compress, &osd, &wal],
         )
     }
 }

@@ -2,16 +2,20 @@
 //!
 //! This crate is the primary contribution of the reproduced paper
 //! (Oh et al., ICDCS 2018): a deduplication layer for a shared-nothing,
-//! hash-placed object store that needs **no fingerprint index**, **no
-//! external metadata**, and **no changes** to the store's availability
-//! machinery.
+//! hash-placed object store whose placement map **is** the fingerprint
+//! index, with **no external metadata** and **no changes** to the store's
+//! availability machinery.
 //!
 //! # The four ideas
 //!
 //! 1. **Double hashing** — a chunk's content fingerprint *is* its object
 //!    name in the chunk pool; the store's ordinary placement hash then maps
 //!    it to a device. Identical chunks collide by construction, so the
-//!    "fingerprint index" is the cluster map itself ([`engine::DedupStore`]).
+//!    fingerprint index is the cluster map itself ([`engine::DedupStore`]).
+//!    The engine keeps only a cache in front of it ([`index::ChunkIndex`]):
+//!    a Bloom negative-lookup gate, plus signature candidate sets when
+//!    [`DedupConfig::tiered_fingerprint`] is on, both re-seeded from the
+//!    chunk pool by [`DedupStore::rebuild_index`].
 //! 2. **Self-contained objects** — the chunk map rides in the metadata
 //!    object's omap ([`chunkmap::ChunkMapEntry`]) and reference counts ride
 //!    in the chunk object's xattr/omap ([`refs`]), so replication, erasure
@@ -71,8 +75,8 @@ pub use baseline::{global_ratio, local_ratio, RatioAnalysis};
 pub use bloom::BloomConfig;
 pub use chunkmap::{ChunkMapEntry, CHUNK_MAP_ENTRY_BYTES};
 pub use config::{
-    CachePolicy, ChunkIndexKind, CompressionConfig, CompressionCostModel, DedupConfig, DedupMode,
-    FingerprintDomain, HitSetConfig, TieredIndexConfig, Watermarks,
+    CachePolicy, CompressionConfig, CompressionCostModel, DedupConfig, DedupMode,
+    FingerprintDomain, HitSetConfig, Watermarks,
 };
 pub use crashpoint::{
     enumerate_crash_points, plan_for, rebuilt_store, wal_store, CrashPoint, CrashTopology,
@@ -82,10 +86,10 @@ pub use engine::{
 };
 pub use error::DedupError;
 pub use health::{
-    BloomHealth, CompressionHealth, IndexHealth, QueueHealth, RateHealth, ShardHealth, StallState,
+    BloomHealth, CompressionHealth, QueueHealth, RateHealth, ShardHealth, StallState,
 };
 pub use hitset::{BloomFilter, HitSet};
-pub use index::{build_index, CandidateRef, ChunkIndex, FlatChunkIndex, IndexStats, TieredIndex};
+pub use index::{CandidateRef, ChunkIndex};
 pub use pipeline::{fingerprint_batch, StagedBatch, StagedChunk, StagedObject};
 pub use queue::{DirtyQueue, DirtyTicket};
 pub use ratecontrol::RateController;

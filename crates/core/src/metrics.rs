@@ -147,14 +147,6 @@ pub(crate) struct EngineMetrics {
     pub index_probe_ns: Histogram,
     /// Estimated resident bytes of the chunk index.
     pub index_resident_bytes: Gauge,
-    /// Candidate entries resident in the index's hot tier.
-    pub index_hot_entries: Gauge,
-    /// Records across the index's cold sorted runs.
-    pub index_cold_entries: Gauge,
-    /// Lifetime cold→hot promotions in the tiered index.
-    pub index_promotions: Gauge,
-    /// Lifetime hot→cold demotions in the tiered index.
-    pub index_demotions: Gauge,
 }
 
 impl EngineMetrics {
@@ -224,10 +216,6 @@ impl EngineMetrics {
             fp_weak_stored: registry.counter("engine.fp.weak_chunks_stored"),
             index_probe_ns: registry.histogram("engine.index.probe_wall_ns"),
             index_resident_bytes: registry.gauge("engine.index.resident_bytes"),
-            index_hot_entries: registry.gauge("engine.index.hot_entries"),
-            index_cold_entries: registry.gauge("engine.index.cold_entries"),
-            index_promotions: registry.gauge("engine.index.promotions"),
-            index_demotions: registry.gauge("engine.index.demotions"),
             foreground_ops: registry.meter("rate.foreground_ops", rate_window),
             registry,
         }

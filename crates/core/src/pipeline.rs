@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bytes::Bytes;
 use dedup_fingerprint::{ChunkSig, Fingerprint};
-use dedup_sim::{CostExpr, SimTime};
+use dedup_sim::CostExpr;
 use dedup_store::ObjectName;
 
 use crate::chunkmap::ChunkMapEntry;
@@ -86,9 +86,6 @@ pub struct StagedObject {
     pub(crate) ticket: Option<DirtyTicket>,
     pub(crate) meta_node: usize,
     pub(crate) keep_cached: bool,
-    /// Virtual time the snapshot was staged; feeds the chunk index's
-    /// hotness signal at commit.
-    pub(crate) staged_at: SimTime,
     pub(crate) chunks: Vec<StagedChunk>,
 }
 
@@ -288,7 +285,6 @@ mod tests {
             ticket: None,
             meta_node: 0,
             keep_cached: false,
-            staged_at: SimTime::ZERO,
             chunks: contents
                 .iter()
                 .enumerate()

@@ -157,10 +157,7 @@ impl DedupService {
         // service owns the store.
         let (tiered, compression) = {
             let s = store.read();
-            (
-                s.config().tiered_fingerprint,
-                s.config().compression,
-            )
+            (s.config().tiered_fingerprint, s.config().compression)
         };
         let worker_store = Arc::clone(&store);
         let worker_state = Arc::clone(&state);

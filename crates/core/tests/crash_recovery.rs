@@ -362,18 +362,13 @@ fn every_crash_point_recovers_inline() {
     audit_config(config, "inline");
 }
 
-/// The tiered fingerprint pipeline over the memory-bounded index must
-/// survive the same crash-at-every-point audit: weak-named chunks, the
-/// signature map, and the resumed weak-name sequence are all rebuilt
-/// from the chunk pool by `rebuild_index` during recovery.
+/// The tiered fingerprint pipeline must survive the same
+/// crash-at-every-point audit: weak-named chunks, the signature map, and
+/// the resumed weak-name sequence are all rebuilt from the chunk pool by
+/// `rebuild_index` during recovery.
 #[test]
 fn every_crash_point_recovers_tiered() {
-    let config = DedupConfig::with_chunk_size(CS)
-        .tiered_fingerprint()
-        .tiered_index(dedup_core::TieredIndexConfig {
-            hot_capacity: 4, // tiny: recovery re-seeding spills to cold
-            ..Default::default()
-        });
+    let config = DedupConfig::with_chunk_size(CS).tiered_fingerprint();
     audit_config(config, "tiered");
 }
 
@@ -425,11 +420,7 @@ fn every_crash_point_recovers_compressed_domain_tiered() {
     let config = DedupConfig::with_chunk_size(CS)
         .compress()
         .compress_domain(dedup_core::FingerprintDomain::Compressed)
-        .tiered_fingerprint()
-        .tiered_index(dedup_core::TieredIndexConfig {
-            hot_capacity: 4,
-            ..Default::default()
-        });
+        .tiered_fingerprint();
     audit_config_with(config, "compressed-domain-tiered", compress_workload());
 }
 

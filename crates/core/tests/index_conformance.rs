@@ -1,183 +1,19 @@
-//! Observational-equivalence conformance suite for the chunk index.
+//! Store-level conformance suite for the tiered fingerprint pipeline.
 //!
-//! Two layers:
-//!
-//! 1. **Op-level**: drive a [`FlatChunkIndex`] and a [`TieredIndex`]
-//!    (with a tiny hot capacity so demotion, promotion, compaction, and
-//!    the Bloom interaction all fire constantly) through arbitrary
-//!    interleavings of `note_stored` / `candidates` / `memoize_full` /
-//!    `drop_candidate` / `clear`, asserting the answers are identical at
-//!    every step. The tiered index is free to *order* work differently
-//!    (hot vs cold) but must never answer differently.
-//! 2. **Store-level**: run the same random write / overwrite / delete /
-//!    flush / GC workload against a classic engine and a tiered-pipeline
-//!    engine over the memory-bounded index, and assert reads, space
-//!    accounting, and reference integrity agree — the tiered pipeline is
-//!    a pure work-avoidance optimisation, invisible in what is stored.
+//! Runs the same random write / delete / flush / GC / restart workload
+//! against a classic engine and a tiered-pipeline engine, and asserts
+//! reads, space accounting, reference integrity and leak-freedom agree —
+//! the tiered pipeline is a pure work-avoidance optimisation, invisible in
+//! what is stored. Restarts (`recover_after_crash` on the live store)
+//! exercise `rebuild_index` re-signing every surviving chunk and resuming
+//! the weak-name sequence after GC has reclaimed candidates.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use dedup_core::{
-    BloomConfig, ChunkIndex, DedupConfig, DedupStore, FlatChunkIndex, HitSetConfig, TieredIndex,
-    TieredIndexConfig,
-};
-use dedup_fingerprint::{ChunkSig, Fingerprint};
+use dedup_core::{DedupConfig, DedupStore};
 use dedup_sim::SimTime;
 use dedup_store::{ClientId, ClusterBuilder, ObjectName};
-
-// ---------------------------------------------------------------------
-// Op-level conformance
-// ---------------------------------------------------------------------
-
-/// One index operation over a deliberately tiny key space (signatures and
-/// chunk names collide often, exercising multi-candidate sets).
-#[derive(Debug, Clone, Copy)]
-enum IndexOp {
-    /// Store chunk `chunk` under signature `sig` (weak or content name).
-    Store { sig: u8, chunk: u8, weak: bool },
-    /// Probe signature `sig` at a time driven by `tick` (distinct ticks
-    /// land in distinct HitSet intervals, driving promotion).
-    Probe { sig: u8 },
-    /// Memoize chunk `chunk`'s full fingerprint under `sig`.
-    Memoize { sig: u8, chunk: u8 },
-    /// Drop chunk `chunk` from `sig`'s candidate set.
-    Drop { sig: u8, chunk: u8 },
-    /// Reset both indexes.
-    Clear,
-}
-
-fn sig(n: u8) -> ChunkSig {
-    ChunkSig::of(&[n, n ^ 0x5a, n.wrapping_mul(3)])
-}
-
-/// A content-named chunk fingerprint.
-fn full_fp(n: u8) -> Fingerprint {
-    Fingerprint::of(&[n, 0xaa, n])
-}
-
-/// A weak-named chunk for signature `s` with sequence `n`.
-fn weak_fp(s: u8, n: u8) -> Fingerprint {
-    Fingerprint::mint_weak(&sig(s), n as u64)
-}
-
-fn chunk_name(op_weak: bool, s: u8, chunk: u8) -> Fingerprint {
-    if op_weak {
-        weak_fp(s, chunk)
-    } else {
-        full_fp(chunk)
-    }
-}
-
-fn tiny_tiered() -> TieredIndex {
-    TieredIndex::new(
-        BloomConfig {
-            bits: 1 << 12,
-            probes: 4,
-        },
-        TieredIndexConfig {
-            hot_capacity: 3,
-            max_runs: 2,
-            fence_every: 2,
-            heat: HitSetConfig {
-                interval_secs: 1,
-                intervals: 4,
-                hit_count: 2,
-                bloom_bits: 1 << 10,
-            },
-        },
-    )
-}
-
-fn tiny_flat() -> FlatChunkIndex {
-    FlatChunkIndex::new(BloomConfig {
-        bits: 1 << 12,
-        probes: 4,
-    })
-}
-
-/// Sorts a candidate set into a comparable form.
-fn canon(mut cands: Vec<dedup_core::CandidateRef>) -> Vec<(Fingerprint, Option<Fingerprint>)> {
-    cands.sort_by_key(|c| c.stored);
-    cands.into_iter().map(|c| (c.stored, c.full)).collect()
-}
-
-fn arb_index_op() -> impl Strategy<Value = IndexOp> {
-    let s = 0u8..6;
-    let c = 0u8..5;
-    prop_oneof![
-        4 => (0u8..6, 0u8..5, any::<bool>())
-            .prop_map(|(sig, chunk, weak)| IndexOp::Store { sig, chunk, weak }),
-        4 => s.clone().prop_map(|sig| IndexOp::Probe { sig }),
-        2 => (0u8..6, c.clone()).prop_map(|(sig, chunk)| IndexOp::Memoize { sig, chunk }),
-        2 => (0u8..6, c).prop_map(|(sig, chunk)| IndexOp::Drop { sig, chunk }),
-        1 => Just(IndexOp::Clear),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The tiered index answers every operation exactly like the flat
-    /// one, under any interleaving — including mid-sequence migrations
-    /// between hot and cold tiers, run compactions, and tombstoned drops.
-    #[test]
-    fn tiered_index_is_observationally_flat(ops in vec(arb_index_op(), 0..60)) {
-        let flat = tiny_flat();
-        let tiered = tiny_tiered();
-        // Track everything ever stored so the Bloom side can be compared
-        // for inserted keys (no false negatives in either impl).
-        let mut stored: Vec<Fingerprint> = Vec::new();
-        for (tick, op) in ops.iter().enumerate() {
-            let now = SimTime::from_secs(tick as u64);
-            match *op {
-                IndexOp::Store { sig: s, chunk, weak } => {
-                    let fp = chunk_name(weak, s, chunk);
-                    flat.note_stored(fp, Some(sig(s)));
-                    tiered.note_stored(fp, Some(sig(s)));
-                    stored.push(fp);
-                }
-                IndexOp::Probe { sig: s } => {
-                    let f = canon(flat.candidates(&sig(s), now));
-                    let t = canon(tiered.candidates(&sig(s), now));
-                    prop_assert_eq!(f, t, "probe diverged at tick {}", tick);
-                }
-                IndexOp::Memoize { sig: s, chunk } => {
-                    // Memoize against whichever stored name matches; the
-                    // call is a no-op for absent candidates in both impls.
-                    for name in [full_fp(chunk), weak_fp(s, chunk)] {
-                        flat.memoize_full(&sig(s), name, full_fp(chunk));
-                        tiered.memoize_full(&sig(s), name, full_fp(chunk));
-                    }
-                }
-                IndexOp::Drop { sig: s, chunk } => {
-                    for name in [full_fp(chunk), weak_fp(s, chunk)] {
-                        flat.drop_candidate(&sig(s), name);
-                        tiered.drop_candidate(&sig(s), name);
-                    }
-                }
-                IndexOp::Clear => {
-                    flat.clear();
-                    tiered.clear();
-                    stored.clear();
-                }
-            }
-            // Bloom interaction: both gates agree on every stored chunk
-            // (never a false negative), regardless of tier migration.
-            for fp in &stored {
-                prop_assert!(flat.may_contain(fp));
-                prop_assert!(tiered.may_contain(fp));
-            }
-        }
-        // Final sweep: every signature answers identically.
-        let end = SimTime::from_secs(ops.len() as u64 + 10);
-        for s in 0u8..6 {
-            let f = canon(flat.candidates(&sig(s), end));
-            let t = canon(tiered.candidates(&sig(s), end));
-            prop_assert_eq!(f, t, "final probe diverged for sig {}", s);
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Store-level equivalence
@@ -198,6 +34,8 @@ enum StoreOp {
     },
     Flush,
     Gc,
+    /// Engine restart: dirty-queue rebuild, index re-seed, flush, GC.
+    Recover,
 }
 
 fn arb_store_op() -> impl Strategy<Value = StoreOp> {
@@ -207,6 +45,7 @@ fn arb_store_op() -> impl Strategy<Value = StoreOp> {
         1 => (0u8..3).prop_map(|obj| StoreOp::Delete { obj }),
         3 => Just(StoreOp::Flush),
         1 => Just(StoreOp::Gc),
+        1 => Just(StoreOp::Recover),
     ]
 }
 
@@ -251,30 +90,24 @@ fn apply(s: &mut DedupStore, op: StoreOp, now: SimTime) {
         StoreOp::Gc => {
             let _ = s.gc_chunk_pool().expect("gc");
         }
+        StoreOp::Recover => {
+            let _ = s.recover_after_crash(now).expect("recover");
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tiered fingerprint pipeline over the memory-bounded index
-    /// stores *exactly* the same logical data and achieves *exactly* the
-    /// same dedup outcome as the classic engine: same readable contents,
-    /// same logical/chunk/cached byte accounting, same chunk-object
-    /// count, clean references in both.
+    /// The tiered fingerprint pipeline stores *exactly* the same logical
+    /// data and achieves *exactly* the same dedup outcome as the classic
+    /// engine, across restarts: same readable contents, same
+    /// logical/chunk/cached byte accounting, same chunk-object count,
+    /// clean references and no leaked chunks in both.
     #[test]
     fn tiered_engine_matches_flat_engine(ops in vec(arb_store_op(), 1..24)) {
         let mut classic = store_with(DedupConfig::with_chunk_size(CS));
-        let mut tiered = store_with(
-            DedupConfig::with_chunk_size(CS)
-                .tiered_fingerprint()
-                .tiered_index(TieredIndexConfig {
-                    hot_capacity: 4, // force constant demotion/promotion
-                    max_runs: 2,
-                    fence_every: 4,
-                    ..TieredIndexConfig::default()
-                }),
-        );
+        let mut tiered = store_with(DedupConfig::with_chunk_size(CS).tiered_fingerprint());
         for (i, &op) in ops.iter().enumerate() {
             let now = SimTime::from_secs((i as u64 + 1) * 10);
             apply(&mut classic, op, now);
@@ -310,8 +143,10 @@ proptest! {
         prop_assert_eq!(sc.cached_bytes, st.cached_bytes);
         prop_assert_eq!(sc.metadata_objects, st.metadata_objects);
 
-        // Both reference graphs are intact.
+        // Both reference graphs are intact, and nothing leaked.
         prop_assert!(classic.verify_references().expect("verify").is_empty());
         prop_assert!(tiered.verify_references().expect("verify").is_empty());
+        prop_assert!(classic.find_leaked_chunks().expect("leaks").is_empty());
+        prop_assert!(tiered.find_leaked_chunks().expect("leaks").is_empty());
     }
 }

@@ -93,16 +93,6 @@ impl ReedSolomon {
         Ok(ReedSolomon { k, m, encode })
     }
 
-    /// Data shard count.
-    pub fn data_shards(&self) -> usize {
-        self.k
-    }
-
-    /// Parity shard count.
-    pub fn parity_shards(&self) -> usize {
-        self.m
-    }
-
     /// Total shard count `k + m`.
     pub fn total_shards(&self) -> usize {
         self.k + self.m

@@ -3,8 +3,11 @@
 //! A chunk's fingerprint **is** its object ID in the chunk pool: two chunks
 //! with identical contents hash to the same ID, so the underlying placement
 //! hash (the second level) sends them to the same device, and the store's
-//! ordinary name-collision handling deduplicates them. No fingerprint index
-//! exists anywhere.
+//! ordinary name-collision handling deduplicates them. The placement map is
+//! the fingerprint index; `dedup-core` keeps only an in-memory Bloom
+//! negative-lookup cache in front of it (re-seeded from the chunk pool at
+//! recovery), plus [`ChunkSig`] candidate sets when its tiered fingerprint
+//! pipeline is on.
 //!
 //! The fingerprint here is 256 bits built from four independently-seeded
 //! xxHash64 lanes. It is not cryptographic — the simulation does not face
@@ -231,7 +234,7 @@ const SIG_SEED: u64 = 0x5349_475f_5345_4544; // "SIG_SEED"
 /// only a candidate: contents differing solely between the sampled windows
 /// collide, and the pipeline falls through to the full fingerprint for
 /// exact matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ChunkSig {
     /// Sparse-sample hash over the fixed windows, seeded with the length.
     pub sample: u64,
@@ -256,14 +259,6 @@ impl ChunkSig {
             xxh64(&buf, seed)
         };
         ChunkSig { sample, len }
-    }
-
-    /// A stable byte key for hotness tracking and sorted-run ordering.
-    pub fn key_bytes(&self) -> [u8; 12] {
-        let mut out = [0u8; 12];
-        out[..8].copy_from_slice(&self.sample.to_le_bytes());
-        out[8..].copy_from_slice(&self.len.to_le_bytes());
-        out
     }
 }
 

@@ -154,11 +154,6 @@ impl Histogram {
         inner.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Records a [`SimDuration`] sample in nanoseconds.
-    pub fn record_duration(&self, d: SimDuration) {
-        self.record(d.as_nanos());
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)

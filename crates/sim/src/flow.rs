@@ -111,16 +111,6 @@ impl FlowEngine {
         self.sink = Some(sink);
     }
 
-    /// Detaches the trace sink, returning reporting to the free path.
-    pub fn clear_trace_sink(&mut self) {
-        self.sink = None;
-    }
-
-    /// Whether a trace sink is attached.
-    pub fn is_traced(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Number of started-but-unexecuted legs targeting `resource` right
     /// now — per-resource contention visible without tracing.
     pub fn pending_legs(&self, resource: ResourceId) -> usize {

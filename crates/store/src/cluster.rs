@@ -430,11 +430,6 @@ impl Cluster {
         });
     }
 
-    /// Whether a WAL backend is attached.
-    pub fn wal_attached(&self) -> bool {
-        self.wal.is_some()
-    }
-
     fn wal_active(&self) -> bool {
         self.wal
             .as_ref()
