@@ -1,5 +1,4 @@
 //! Ablation study. See `dedup_bench::experiments::ablations::cache_policy`.
 fn main() {
-    dedup_bench::report::parse_trace_flag();
     dedup_bench::experiments::ablations::cache_policy::run();
 }

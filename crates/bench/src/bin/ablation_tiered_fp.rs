@@ -1,6 +1,5 @@
 //! Ablation study. See `dedup_bench::experiments::ablations::tiered_fp`.
 fn main() {
-    dedup_bench::report::parse_trace_flag();
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
     dedup_bench::experiments::ablations::tiered_fp::run(smoke);
 }

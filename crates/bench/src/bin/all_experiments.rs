@@ -2,7 +2,6 @@
 use dedup_bench::experiments as e;
 
 fn main() {
-    dedup_bench::report::parse_trace_flag();
     println!("# Paper reproduction — all tables and figures\n");
     e::fig03::run();
     e::table1::run();

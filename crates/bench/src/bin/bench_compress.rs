@@ -18,9 +18,10 @@
 //! 4. **Identical read-back** — full-object read checksums must agree
 //!    across {compression off, raw domain, compressed domain}.
 //!
-//! Results land in `BENCH_compress.json` (override with `--out PATH` or
-//! `$DEDUP_BENCH_OUT`). `--smoke` shrinks the workload for CI.
+//! Results land in `BENCH_compress.json` (override with `--out PATH`).
+//! `--smoke` shrinks the workload for CI.
 
+use dedup_bench::report::bench_args;
 use dedup_core::{DedupConfig, DedupStore, FingerprintDomain};
 use dedup_sim::SimTime;
 use dedup_store::{ClientId, ClusterBuilder, ObjectName};
@@ -146,19 +147,7 @@ fn run_workload(s: &mut DedupStore, objects: &[(String, Vec<u8>)]) -> u64 {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(args.next().expect("--out needs a path")),
-            other => panic!("unknown argument: {other} (expected --smoke | --out PATH)"),
-        }
-    }
-    let out = out
-        .or_else(|| std::env::var("DEDUP_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_compress.json".to_string());
+    let (smoke, out) = bench_args("BENCH_compress.json");
     let shape = if smoke { Shape::smoke() } else { Shape::full() };
     let total_mib = (shape.raw_objects * shape.raw_object_bytes
         + shape.mixed_objects * shape.mixed_object_bytes

@@ -9,10 +9,10 @@
 //! wall-clock — so the two runs must produce the same `FlushReport`
 //! totals, and the benchmark fails loudly if they do not.
 //!
-//! Results land in `BENCH_flush_pipeline.json` (override with `--out PATH`
-//! or `$DEDUP_BENCH_OUT`). A meaningful speedup needs real cores: on a
-//! multi-core runner (≥4 cores) the parallel run is expected to reach ≥2×
-//! the serial throughput; on a single-core host both runs are serial and
+//! Results land in `BENCH_flush_pipeline.json` (override with `--out
+//! PATH`). A meaningful speedup needs real cores: on a multi-core
+//! runner (≥4 cores) the parallel run is expected to reach ≥2× the
+//! serial throughput; on a single-core host both runs are serial and
 //! the speedup hovers around 1×.
 //!
 //! `--smoke` shrinks the workload for CI smoke tests (a few MiB instead of
@@ -20,6 +20,7 @@
 
 use std::time::Instant;
 
+use dedup_bench::report::bench_args;
 use dedup_core::{CachePolicy, DedupConfig, DedupStore, FlushReport};
 use dedup_sim::SimTime;
 use dedup_store::{ClientId, ClusterBuilder, ObjectName};
@@ -139,19 +140,7 @@ fn json_run(r: &RunResult) -> String {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(args.next().expect("--out needs a path")),
-            other => panic!("unknown argument: {other} (expected --smoke | --out PATH)"),
-        }
-    }
-    let out = out
-        .or_else(|| std::env::var("DEDUP_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_flush_pipeline.json".to_string());
+    let (smoke, out) = bench_args("BENCH_flush_pipeline.json");
     let shape = if smoke { Shape::smoke() } else { Shape::full() };
     let iters = if smoke { 2 } else { 3 };
     let host = std::thread::available_parallelism()

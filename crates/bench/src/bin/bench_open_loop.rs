@@ -27,12 +27,13 @@
 //! at θ = 1.2, pure GETs — asserts rwlock read throughput ≥ 2× the
 //! exclusive baseline (on hosts with ≥ 4 cores) and a non-zero read p999.
 //!
-//! Results land in `BENCH_open_loop.json` (override with `--out PATH` or
-//! `$DEDUP_BENCH_OUT`). `--smoke` shrinks the sweep for CI.
+//! Results land in `BENCH_open_loop.json` (override with `--out PATH`).
+//! `--smoke` shrinks the sweep for CI.
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
+use dedup_bench::report::bench_args;
 use dedup_core::{CachePolicy, DedupConfig, DedupService, DedupStore};
 use dedup_obs::Registry;
 use dedup_store::{ClientId, ClusterBuilder, ObjectName};
@@ -389,19 +390,7 @@ fn json_run(r: &RunResult) -> String {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(args.next().expect("--out needs a path")),
-            other => panic!("unknown argument: {other} (expected --smoke | --out PATH)"),
-        }
-    }
-    let out = out
-        .or_else(|| std::env::var("DEDUP_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_open_loop.json".to_string());
+    let (smoke, out) = bench_args("BENCH_open_loop.json");
     let shape = if smoke { Shape::smoke() } else { Shape::full() };
     let host = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -20,13 +20,13 @@
 //! throughput at 4 threads; on a single-core runner both modes serialize
 //! and the ratio hovers around 1×.
 //!
-//! Results land in `BENCH_service_scaling.json` (override with
-//! `--out PATH` or `$DEDUP_BENCH_OUT`). `--smoke` shrinks the workload
-//! for CI.
+//! Results land in `BENCH_service_scaling.json` (override with `--out
+//! PATH`). `--smoke` shrinks the workload for CI.
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
+use dedup_bench::report::bench_args;
 use dedup_core::{CachePolicy, DedupConfig, DedupService, DedupStore};
 use dedup_sim::SimTime;
 use dedup_store::ClusterBuilder;
@@ -224,19 +224,7 @@ fn json_run(r: &RunResult) -> String {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(args.next().expect("--out needs a path")),
-            other => panic!("unknown argument: {other} (expected --smoke | --out PATH)"),
-        }
-    }
-    let out = out
-        .or_else(|| std::env::var("DEDUP_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_service_scaling.json".to_string());
+    let (smoke, out) = bench_args("BENCH_service_scaling.json");
     let shape = if smoke { Shape::smoke() } else { Shape::full() };
     let iters = if smoke { 1 } else { 2 };
     let host = std::thread::available_parallelism()

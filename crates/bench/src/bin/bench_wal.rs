@@ -23,11 +23,12 @@
 //! post-replay read returns the wrong bytes — the regressions this
 //! binary exists to catch.
 //!
-//! Results land in `BENCH_wal.json` (override with `--out PATH` or
-//! `$DEDUP_BENCH_OUT`). `--smoke` shrinks the workload for CI.
+//! Results land in `BENCH_wal.json` (override with `--out PATH`).
+//! `--smoke` shrinks the workload for CI.
 
 use std::time::Instant;
 
+use dedup_bench::report::bench_args;
 use dedup_core::{
     enumerate_crash_points, plan_for, rebuilt_store, wal_store, CrashTopology, DedupConfig,
     DedupError, DedupStore,
@@ -119,19 +120,7 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(args.next().expect("--out needs a path")),
-            other => panic!("unknown argument: {other} (expected --smoke | --out PATH)"),
-        }
-    }
-    let out = out
-        .or_else(|| std::env::var("DEDUP_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_wal.json".to_string());
+    let (smoke, out) = bench_args("BENCH_wal.json");
     let shape = if smoke { Shape::smoke() } else { Shape::full() };
     let topology = CrashTopology::default();
     let config = DedupConfig::with_chunk_size(shape.chunk_size);

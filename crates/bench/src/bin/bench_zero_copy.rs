@@ -16,13 +16,13 @@
 //! drops below 50% or if a cached foreground read performs *any* deep
 //! copy — those are the regressions this binary exists to catch.
 //!
-//! Results land in `BENCH_zero_copy.json` (override with `--out PATH` or
-//! `$DEDUP_BENCH_OUT`). `--smoke` shrinks the workload to a few MiB for
-//! CI smoke tests.
+//! Results land in `BENCH_zero_copy.json` (override with `--out PATH`).
+//! `--smoke` shrinks the workload to a few MiB for CI smoke tests.
 
 use std::time::Instant;
 
 use bytes::Bytes;
+use dedup_bench::report::bench_args;
 use dedup_core::{DedupConfig, DedupStore};
 use dedup_obs::Counter;
 use dedup_sim::SimTime;
@@ -126,19 +126,7 @@ fn measure(
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(args.next().expect("--out needs a path")),
-            other => panic!("unknown argument: {other} (expected --smoke | --out PATH)"),
-        }
-    }
-    let out = out
-        .or_else(|| std::env::var("DEDUP_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_zero_copy.json".to_string());
+    let (smoke, out) = bench_args("BENCH_zero_copy.json");
     let shape = if smoke { Shape::smoke() } else { Shape::full() };
 
     let cluster = ClusterBuilder::new().nodes(4).osds_per_node(4).build();

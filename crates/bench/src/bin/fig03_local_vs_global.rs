@@ -1,5 +1,4 @@
 //! Regenerates the paper's fig03 results. See `dedup_bench::experiments::fig03`.
 fn main() {
-    dedup_bench::report::parse_trace_flag();
     dedup_bench::experiments::fig03::run();
 }

@@ -1,5 +1,4 @@
 //! Regenerates the paper's fig05 results. See `dedup_bench::experiments::fig05`.
 fn main() {
-    dedup_bench::report::parse_trace_flag();
     dedup_bench::experiments::fig05::run();
 }

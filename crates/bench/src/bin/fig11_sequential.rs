@@ -1,5 +1,4 @@
 //! Regenerates the paper's fig11 results. See `dedup_bench::experiments::fig11`.
 fn main() {
-    dedup_bench::report::parse_trace_flag();
     dedup_bench::experiments::fig11::run();
 }

@@ -1,5 +1,4 @@
 //! Regenerates the paper's table1 results. See `dedup_bench::experiments::table1`.
 fn main() {
-    dedup_bench::report::parse_trace_flag();
     dedup_bench::experiments::table1::run();
 }

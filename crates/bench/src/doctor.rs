@@ -10,7 +10,7 @@
 //! surface the observability acceptance tests drive.
 
 use dedup_core::{CachePolicy, CapacitySample, DedupConfig};
-use dedup_obs::{EventLog, HealthReport, HealthStatus, Tracer};
+use dedup_obs::{HealthReport, HealthStatus};
 use dedup_placement::OsdId;
 use dedup_sim::SimTime;
 use dedup_store::ClientId;
@@ -367,8 +367,8 @@ pub fn run_doctor(opts: &DoctorOptions) -> (DoctorReport, DedupSystem) {
         config = config.bloom(64, 2);
     }
     let mut system = DedupSystem::new("doctor", config).background(BackgroundMode::RateControlled);
-    system.store_mut().attach_tracer(Tracer::new());
-    system.store_mut().attach_events(EventLog::new());
+    let store = system.store_mut();
+    store.observe(store.observer().clone().traced());
 
     let segments = opts.segments.max(1) as u64;
     let per_segment = (opts.ops / segments).max(1);

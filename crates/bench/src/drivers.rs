@@ -163,7 +163,7 @@ fn is_bg(tag: u64) -> bool {
 /// the engine executes lands in a span tree, and returns a handle for
 /// per-op bookkeeping. No tracer → the engine keeps its null sink.
 fn attach_tracing(system: &dyn StorageSystem, engine: &mut FlowEngine) -> Option<Tracer> {
-    let tracer = system.tracer().cloned()?;
+    let tracer = system.observer().tracer().cloned()?;
     engine.set_trace_sink(Box::new(tracer.clone()));
     Some(tracer)
 }

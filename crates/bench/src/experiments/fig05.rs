@@ -146,12 +146,11 @@ pub fn run() {
         report::series("fg MB/s (noisy)", &busy.series.throughput_mbps(), 1),
     );
 
-    let mut sidecar = report::MetricsSidecar::new("fig05");
+    let mut sidecar = report::Sidecars::new("fig05");
     sidecar.capture("original", &original, orig.elapsed);
     sidecar.capture("inline", &inline, inl.elapsed);
     sidecar.capture("quiet", &quiet, base.elapsed);
     sidecar.capture("unthrottled", &noisy, busy.elapsed);
-    sidecar.write();
 
     // Redirection-read probe: the unthrottled run left the backlog
     // deduplicated with its cached copies evicted, so these reads proxy
@@ -168,25 +167,5 @@ pub fn run() {
             ClientId(0),
         )
     });
-
-    let mut traces = report::TraceSidecar::new("fig05");
-    traces.capture("original", &original);
-    traces.capture("inline", &inline);
-    traces.capture("quiet", &quiet);
-    traces.capture("unthrottled", &noisy);
-    traces.write();
-
-    let mut events = report::EventSidecar::new("fig05");
-    events.capture("original", &original);
-    events.capture("inline", &inline);
-    events.capture("quiet", &quiet);
-    events.capture("unthrottled", &noisy);
-    events.write();
-
-    let mut opdumps = report::OpDumpSidecar::new("fig05");
-    opdumps.capture("original", &original);
-    opdumps.capture("inline", &inline);
-    opdumps.capture("quiet", &quiet);
-    opdumps.capture("unthrottled", &noisy);
-    opdumps.write();
+    sidecar.write();
 }

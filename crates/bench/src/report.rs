@@ -1,91 +1,69 @@
-//! Markdown reporting shared by every experiment binary, plus the
-//! JSON-lines metrics sidecar every figure binary drops next to its
-//! output.
+//! Markdown reporting shared by every experiment binary, the sidecar
+//! files every figure binary drops next to its output, and the argument
+//! parsing shared by the `bench_*` binaries.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use dedup_obs::{sample_resources, TraceExport};
+use dedup_obs::{sample_resources, Observer, Registry};
 use dedup_sim::SimTime;
 
 use crate::systems::StorageSystem;
 
-/// Where metrics sidecars go: `$DEDUP_METRICS_DIR`, or `target/metrics`.
-pub fn metrics_dir() -> PathBuf {
-    std::env::var_os("DEDUP_METRICS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/metrics"))
+/// Whether the binary was started with `--trace`. Systems built under it
+/// attach a traced [`Observer`] (tracer and event log), so their trace,
+/// event and op-dump sidecars are written too.
+pub fn trace_requested() -> bool {
+    std::env::args().skip(1).any(|a| a == "--trace")
 }
 
-/// Where trace sidecars go, when tracing is on: `$DEDUP_TRACE_DIR`.
-/// Unlike metrics there is no default — no env var means no tracing.
-pub fn trace_dir() -> Option<PathBuf> {
-    std::env::var_os("DEDUP_TRACE_DIR").map(PathBuf::from)
-}
-
-/// Handles the figure binaries' `--trace[=DIR]` flag by setting
-/// `DEDUP_TRACE_DIR` (default `target/traces`), so the systems built
-/// afterwards attach tracers. Call before constructing any system.
-pub fn parse_trace_flag() {
-    for a in std::env::args().skip(1) {
-        if a == "--trace" {
-            if std::env::var_os("DEDUP_TRACE_DIR").is_none() {
-                std::env::set_var("DEDUP_TRACE_DIR", "target/traces");
-            }
-        } else if let Some(dir) = a.strip_prefix("--trace=") {
-            std::env::set_var("DEDUP_TRACE_DIR", dir);
-        }
-    }
-}
-
-/// Where event-log sidecars go, when events are on: `$DEDUP_EVENTS_DIR`.
-/// Like tracing there is no default — no env var means no event log.
-pub fn events_dir() -> Option<PathBuf> {
-    std::env::var_os("DEDUP_EVENTS_DIR").map(PathBuf::from)
-}
-
-/// Where op-dump sidecars go, when op dumping is on: `$DEDUP_OPDUMP_DIR`,
-/// or `target/opdumps` when only the `DEDUP_OPDUMP` switch is set.
-/// Op dumps ride on the tracer, so they additionally require
-/// `DEDUP_TRACE_DIR` (otherwise no tracker exists to dump).
-pub fn opdump_dir() -> Option<PathBuf> {
-    if let Some(dir) = std::env::var_os("DEDUP_OPDUMP_DIR") {
-        return Some(PathBuf::from(dir));
-    }
-    std::env::var_os("DEDUP_OPDUMP").map(|_| PathBuf::from("target/opdumps"))
-}
-
-/// Accumulates labelled registry snapshots from the systems an experiment
-/// ran and writes them as one `<figure>.metrics.jsonl` sidecar.
+/// Accumulates what an experiment's systems observed and writes it as
+/// one set of sidecars under `$DEDUP_OBS_DIR` (default `target/obs`):
 ///
-/// Every line is one metric in the registry's JSON format, with a
-/// `system` label distinguishing the configurations under test.
-pub struct MetricsSidecar {
+/// - `<figure>.metrics.jsonl` — one registry metric per line, tagged with
+///   a `system` label naming the configuration under test;
+/// - `<figure>.trace.json` — the tracers' span trees as one Chrome trace
+///   (loadable in Perfetto / `chrome://tracing`), one track group per
+///   system;
+/// - `<figure>.events.jsonl` — every event-log entry, tagged with the
+///   system label;
+/// - `<figure>.ops.json` — each tracer's op-tracker dump (Ceph's
+///   `dump_in_flight_ops` / `dump_historic_ops`).
+///
+/// The last three are written only when a captured system has a tracer
+/// or event log attached (`--trace`), so figure binaries call this
+/// unconditionally.
+pub struct Sidecars {
     figure: String,
-    lines: Vec<String>,
+    metrics: Vec<String>,
+    observed: Vec<(String, Observer)>,
 }
 
-impl MetricsSidecar {
-    /// Starts a sidecar for `figure` (e.g. `"fig14"`).
+impl Sidecars {
+    /// Starts the sidecars for `figure` (e.g. `"fig14"`).
     pub fn new(figure: impl Into<String>) -> Self {
-        MetricsSidecar {
+        Sidecars {
             figure: figure.into(),
-            lines: Vec::new(),
+            metrics: Vec::new(),
+            observed: Vec::new(),
         }
     }
 
-    /// Snapshots `system`'s registry at virtual time `now`, tagging each
-    /// metric with `system=<label>`. Samples per-resource utilisation
-    /// into the registry first so the sidecar covers the timing plane
-    /// too.
+    /// Snapshots `system`'s registry at virtual time `now` under `label`,
+    /// after sampling per-resource utilisation into it so the metrics
+    /// cover the timing plane too. The system's tracer and event log are
+    /// kept and rendered by [`Sidecars::write`], so they include
+    /// everything the system does until then.
     pub fn capture(&mut self, label: &str, system: &dyn StorageSystem, now: SimTime) {
         let registry = system.registry();
         sample_resources(registry, &system.cluster().perf().pool, now);
         self.capture_registry(label, registry, now);
+        self.observed
+            .push((label.to_string(), system.observer().clone()));
     }
 
     /// Snapshots a bare registry (analyses without a storage stack).
-    pub fn capture_registry(&mut self, label: &str, registry: &dedup_obs::Registry, now: SimTime) {
+    pub fn capture_registry(&mut self, label: &str, registry: &Registry, now: SimTime) {
         let mut snaps = registry.snapshot(now);
         for snap in &mut snaps {
             // Registry labels are sorted by key; keep the injected label in
@@ -97,236 +75,92 @@ impl MetricsSidecar {
                 .unwrap_or_else(|p| p);
             snap.labels
                 .insert(pos, ("system".to_string(), label.to_string()));
-            self.lines.push(snap.to_json());
+            self.metrics.push(snap.to_json());
         }
     }
 
-    /// Lines captured so far (one JSON object per metric).
-    pub fn lines(&self) -> &[String] {
-        &self.lines
+    /// Metric lines captured so far (one JSON object per metric).
+    pub fn metrics_lines(&self) -> &[String] {
+        &self.metrics
     }
 
-    /// Writes the sidecar, creating the metrics directory if needed, and
-    /// prints its path. Errors are reported but not fatal: a read-only
-    /// checkout must not kill a figure run.
-    pub fn write(&self) -> Option<PathBuf> {
-        let dir = metrics_dir();
+    /// Writes every non-empty sidecar, creating the directory if needed,
+    /// and returns the paths written. Errors are reported but not fatal:
+    /// a read-only checkout must not kill a figure run.
+    pub fn write(&self) -> Vec<PathBuf> {
+        let dir = std::env::var_os("DEDUP_OBS_DIR")
+            .map_or_else(|| PathBuf::from("target/obs"), PathBuf::from);
         if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("metrics sidecar skipped ({}: {e})", dir.display());
-            return None;
+            eprintln!("sidecars skipped ({}: {e})", dir.display());
+            return Vec::new();
         }
-        let path = dir.join(format!("{}.metrics.jsonl", self.figure));
-        let mut body = self.lines.join("\n");
-        body.push('\n');
-        match std::fs::write(&path, body) {
-            Ok(()) => {
-                println!("metrics sidecar: {}", path.display());
-                Some(path)
+        let mut traces = Vec::new();
+        let mut ops = Vec::new();
+        let mut events = None;
+        for (label, obs) in &self.observed {
+            if let Some(t) = obs.tracer() {
+                traces.push((label.clone(), t.export()));
+                ops.push(format!(
+                    "{{\"system\":\"{label}\",\"in_flight\":{},\"historic\":{}}}",
+                    t.dump_in_flight(),
+                    t.dump_historic()
+                ));
             }
-            Err(e) => {
-                eprintln!("metrics sidecar skipped ({}: {e})", path.display());
-                None
+            if let Some(log) = obs.events() {
+                let lines = events.get_or_insert_with(String::new);
+                for e in log.events() {
+                    // Splice the system label in as the first key; event
+                    // JSON always starts with `{"seq":`.
+                    let _ = writeln!(lines, "{{\"system\":\"{label}\",{}", &e.to_json()[1..]);
+                }
             }
+        }
+        let mut metrics = self.metrics.join("\n");
+        metrics.push('\n');
+        let mut files = vec![("metrics.jsonl", metrics)];
+        if !traces.is_empty() {
+            files.push(("trace.json", dedup_obs::render(&traces)));
+            files.push(("ops.json", format!("[{}]\n", ops.join(","))));
+        }
+        if let Some(events) = events {
+            files.push(("events.jsonl", events));
+        }
+        files
+            .into_iter()
+            .filter_map(|(ext, body)| write_sidecar(&dir, &format!("{}.{ext}", self.figure), body))
+            .collect()
+    }
+}
+
+fn write_sidecar(dir: &Path, name: &str, body: String) -> Option<PathBuf> {
+    let path = dir.join(name);
+    match std::fs::write(&path, body) {
+        Ok(()) => {
+            println!("sidecar: {}", path.display());
+            Some(path)
+        }
+        Err(e) => {
+            eprintln!("sidecar skipped ({}: {e})", path.display());
+            None
         }
     }
 }
 
-/// Accumulates labelled [`TraceExport`]s from the systems an experiment
-/// ran and writes them as one Chrome-trace `<figure>.trace.json` sidecar
-/// (loadable in Perfetto / `chrome://tracing`).
-///
-/// Does nothing unless `DEDUP_TRACE_DIR` is set: capture is a no-op for
-/// untraced systems and [`TraceSidecar::write`] without captures writes
-/// no file, so figure binaries can call this unconditionally.
-pub struct TraceSidecar {
-    figure: String,
-    exports: Vec<(String, TraceExport)>,
-}
-
-impl TraceSidecar {
-    /// Starts a trace sidecar for `figure` (e.g. `"fig05"`).
-    pub fn new(figure: impl Into<String>) -> Self {
-        TraceSidecar {
-            figure: figure.into(),
-            exports: Vec::new(),
+/// Parses the `bench_*` binaries' `--smoke` (shrink the workload for CI)
+/// and `--out PATH` (results JSON, default `default_out`) flags,
+/// panicking on any other argument.
+pub fn bench_args(default_out: &str) -> (bool, String) {
+    let mut smoke = false;
+    let mut out = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--out" => out = Some(args.next().expect("--out needs a path")),
+            other => panic!("unknown argument: {other} (expected --smoke | --out PATH)"),
         }
     }
-
-    /// Captures `system`'s span trees under the `label` track group; no-op
-    /// when the system has no tracer attached.
-    pub fn capture(&mut self, label: &str, system: &dyn StorageSystem) {
-        if let Some(t) = system.tracer() {
-            self.exports.push((label.to_string(), t.export()));
-        }
-    }
-
-    /// Captures from a bare tracer (stacks driven without a
-    /// [`StorageSystem`]).
-    pub fn capture_tracer(&mut self, label: &str, tracer: &dedup_obs::Tracer) {
-        self.exports.push((label.to_string(), tracer.export()));
-    }
-
-    /// Writes `<figure>.trace.json` under `DEDUP_TRACE_DIR` and prints its
-    /// path. Returns `None` (silently) when tracing is off or nothing was
-    /// captured; IO errors are reported but not fatal.
-    pub fn write(&self) -> Option<PathBuf> {
-        let dir = trace_dir()?;
-        if self.exports.is_empty() {
-            return None;
-        }
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("trace sidecar skipped ({}: {e})", dir.display());
-            return None;
-        }
-        let path = dir.join(format!("{}.trace.json", self.figure));
-        let body = dedup_obs::render(&self.exports);
-        match std::fs::write(&path, body) {
-            Ok(()) => {
-                println!("trace sidecar: {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("trace sidecar skipped ({}: {e})", path.display());
-                None
-            }
-        }
-    }
-}
-
-/// Accumulates labelled event-log exports and writes them as one
-/// `<figure>.events.jsonl` sidecar (one JSON object per event, each
-/// tagged with the system label).
-///
-/// Does nothing unless `DEDUP_EVENTS_DIR` is set: capture is a no-op for
-/// systems without an event log and [`EventSidecar::write`] without
-/// captures writes no file, so figure binaries can call this
-/// unconditionally.
-pub struct EventSidecar {
-    figure: String,
-    lines: Vec<String>,
-}
-
-impl EventSidecar {
-    /// Starts an event sidecar for `figure` (e.g. `"fig05"`).
-    pub fn new(figure: impl Into<String>) -> Self {
-        EventSidecar {
-            figure: figure.into(),
-            lines: Vec::new(),
-        }
-    }
-
-    /// Captures `system`'s event log under `label`; no-op when the system
-    /// has no event log attached.
-    pub fn capture(&mut self, label: &str, system: &dyn StorageSystem) {
-        if let Some(ev) = system.events() {
-            self.capture_events(label, ev);
-        }
-    }
-
-    /// Captures from a bare [`dedup_obs::EventLog`].
-    pub fn capture_events(&mut self, label: &str, events: &dedup_obs::EventLog) {
-        for e in events.events() {
-            let line = e.to_json();
-            // Splice the system label in as the first key; event JSON
-            // always starts with `{"seq":`.
-            self.lines
-                .push(format!("{{\"system\":\"{label}\",{}", &line[1..]));
-        }
-    }
-
-    /// Writes `<figure>.events.jsonl` under `DEDUP_EVENTS_DIR` and prints
-    /// its path. Returns `None` (silently) when events are off or nothing
-    /// was captured; IO errors are reported but not fatal.
-    pub fn write(&self) -> Option<PathBuf> {
-        let dir = events_dir()?;
-        if self.lines.is_empty() {
-            return None;
-        }
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("event sidecar skipped ({}: {e})", dir.display());
-            return None;
-        }
-        let path = dir.join(format!("{}.events.jsonl", self.figure));
-        let mut body = self.lines.join("\n");
-        body.push('\n');
-        match std::fs::write(&path, body) {
-            Ok(()) => {
-                println!("event sidecar: {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("event sidecar skipped ({}: {e})", path.display());
-                None
-            }
-        }
-    }
-}
-
-/// Accumulates labelled op-tracker dumps (Ceph's `dump_in_flight_ops` /
-/// `dump_historic_ops`) and writes them as one `<figure>.ops.json`
-/// sidecar.
-///
-/// Gated on `DEDUP_OPDUMP` / `DEDUP_OPDUMP_DIR` (see [`opdump_dir`]); the
-/// dumps come from the tracer, so `DEDUP_TRACE_DIR` must be set too.
-pub struct OpDumpSidecar {
-    figure: String,
-    entries: Vec<String>,
-}
-
-impl OpDumpSidecar {
-    /// Starts an op-dump sidecar for `figure` (e.g. `"fig05"`).
-    pub fn new(figure: impl Into<String>) -> Self {
-        OpDumpSidecar {
-            figure: figure.into(),
-            entries: Vec::new(),
-        }
-    }
-
-    /// Captures `system`'s op-tracker state under `label`; no-op when op
-    /// dumping is off or the system has no tracer attached.
-    pub fn capture(&mut self, label: &str, system: &dyn StorageSystem) {
-        if opdump_dir().is_none() {
-            return;
-        }
-        if let Some(t) = system.tracer() {
-            self.capture_tracer(label, t);
-        }
-    }
-
-    /// Captures from a bare tracer.
-    pub fn capture_tracer(&mut self, label: &str, tracer: &dedup_obs::Tracer) {
-        self.entries.push(format!(
-            "{{\"system\":\"{label}\",\"in_flight\":{},\"historic\":{}}}",
-            tracer.dump_in_flight(),
-            tracer.dump_historic()
-        ));
-    }
-
-    /// Writes `<figure>.ops.json` under the op-dump directory and prints
-    /// its path. Returns `None` (silently) when op dumping is off or
-    /// nothing was captured; IO errors are reported but not fatal.
-    pub fn write(&self) -> Option<PathBuf> {
-        let dir = opdump_dir()?;
-        if self.entries.is_empty() {
-            return None;
-        }
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("op-dump sidecar skipped ({}: {e})", dir.display());
-            return None;
-        }
-        let path = dir.join(format!("{}.ops.json", self.figure));
-        let body = format!("[{}]\n", self.entries.join(","));
-        match std::fs::write(&path, body) {
-            Ok(()) => {
-                println!("op-dump sidecar: {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("op-dump sidecar skipped ({}: {e})", path.display());
-                None
-            }
-        }
-    }
+    (smoke, out.unwrap_or_else(|| default_out.to_string()))
 }
 
 /// Prints an experiment header with the paper reference.

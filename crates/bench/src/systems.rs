@@ -2,24 +2,12 @@
 //! ("Proposed") behind one interface.
 
 use dedup_core::{DedupConfig, DedupStore};
-use dedup_obs::{EventLog, Registry, Tracer};
+use dedup_obs::{Observer, Registry};
 use dedup_sim::{CostExpr, SimTime};
 use dedup_store::{ClientId, Cluster, ClusterBuilder, IoCtx, ObjectName, PoolConfig};
 use dedup_workloads::Dataset;
 
-/// Whether `DEDUP_TRACE_DIR` asks for per-op tracing. When set, system
-/// constructors attach a [`Tracer`] to the stack and figure binaries drop
-/// a Chrome-trace sidecar next to their metrics.
-pub fn tracing_requested() -> bool {
-    std::env::var_os("DEDUP_TRACE_DIR").is_some()
-}
-
-/// Whether `DEDUP_EVENTS_DIR` asks for structured event logging. When
-/// set, system constructors attach an [`EventLog`] to the stack and
-/// figure binaries drop a `<figure>.events.jsonl` sidecar.
-pub fn events_requested() -> bool {
-    std::env::var_os("DEDUP_EVENTS_DIR").is_some()
-}
+use crate::report::trace_requested;
 
 /// A storage system a driver can load. Implementations panic on store
 /// errors: the harness runs fixed, known-good scenarios, and an error is a
@@ -68,19 +56,14 @@ pub trait StorageSystem {
     /// The underlying cluster, mutably (timing plane access).
     fn cluster_mut(&mut self) -> &mut Cluster;
 
+    /// The observer covering this system's whole stack.
+    fn observer(&self) -> &Observer {
+        self.cluster().observer()
+    }
+
     /// The metrics registry covering this system's whole stack.
     fn registry(&self) -> &Registry {
         self.cluster().registry()
-    }
-
-    /// The tracer attached to this system's stack, if tracing is on.
-    fn tracer(&self) -> Option<&Tracer> {
-        self.cluster().tracer()
-    }
-
-    /// The event log attached to this system's stack, if events are on.
-    fn events(&self) -> Option<&EventLog> {
-        self.cluster().events()
     }
 
     /// Executes a cost on the timing plane.
@@ -105,13 +88,8 @@ impl OriginalSystem {
     /// Builds on a caller-provided cluster.
     pub fn with_cluster(label: impl Into<String>, mut cluster: Cluster, pool: PoolConfig) -> Self {
         let pool = cluster.create_pool(pool);
-        if tracing_requested() {
-            let tracer = Tracer::new();
-            tracer.attach_registry(cluster.registry());
-            cluster.attach_tracer(tracer);
-        }
-        if events_requested() {
-            cluster.attach_events(EventLog::new());
+        if trace_requested() {
+            cluster.observe(cluster.observer().clone().traced());
         }
         OriginalSystem {
             label: label.into(),
@@ -194,39 +172,16 @@ pub struct DedupSystem {
     workers: usize,
 }
 
-/// Attaches a tracer and/or event log to a freshly built store when
-/// `DEDUP_TRACE_DIR` / `DEDUP_EVENTS_DIR` ask for them.
-fn maybe_trace(mut store: DedupStore) -> DedupStore {
-    if tracing_requested() {
-        store.attach_tracer(Tracer::new());
-    }
-    if events_requested() {
-        store.attach_events(EventLog::new());
-    }
-    store
-}
-
 impl DedupSystem {
     /// Builds on the paper's testbed with replicated ×2 pools.
     pub fn new(label: impl Into<String>, config: DedupConfig) -> Self {
-        let cluster = ClusterBuilder::new().build();
-        DedupSystem {
-            label: label.into(),
-            store: maybe_trace(DedupStore::with_default_pools(cluster, config)),
-            background: BackgroundMode::RateControlled,
-            workers: 1,
-        }
+        Self::with_cluster(label, ClusterBuilder::new().build(), config)
     }
 
     /// Builds on a caller-provided cluster (custom topology or hardware)
     /// with replicated x2 pools.
     pub fn with_cluster(label: impl Into<String>, cluster: Cluster, config: DedupConfig) -> Self {
-        DedupSystem {
-            label: label.into(),
-            store: maybe_trace(DedupStore::with_default_pools(cluster, config)),
-            background: BackgroundMode::RateControlled,
-            workers: 1,
-        }
+        Self::wrap(label, DedupStore::with_default_pools(cluster, config))
     }
 
     /// Builds with explicit pools (EC chunk pool etc.).
@@ -237,9 +192,21 @@ impl DedupSystem {
         chunk_pool: PoolConfig,
     ) -> Self {
         let cluster = ClusterBuilder::new().build();
+        Self::wrap(
+            label,
+            DedupStore::new(cluster, metadata_pool, chunk_pool, config),
+        )
+    }
+
+    /// Wraps a freshly built store, attaching a traced observer under
+    /// `--trace`.
+    fn wrap(label: impl Into<String>, mut store: DedupStore) -> Self {
+        if trace_requested() {
+            store.observe(store.observer().clone().traced());
+        }
         DedupSystem {
             label: label.into(),
-            store: maybe_trace(DedupStore::new(cluster, metadata_pool, chunk_pool, config)),
+            store,
             background: BackgroundMode::RateControlled,
             workers: 1,
         }

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use dedup_bench::drivers::{run_closed_loop, OpSpec};
 use dedup_bench::systems::{BackgroundMode, DedupSystem, StorageSystem};
 use dedup_core::{CachePolicy, DedupConfig, DedupService, DedupStore};
-use dedup_obs::{sample_flow_engine, sample_resources, Tracer};
+use dedup_obs::{sample_flow_engine, sample_resources};
 use dedup_sim::{FlowEngine, SimTime};
 use dedup_store::{ClientId, ClusterBuilder};
 
@@ -26,8 +26,8 @@ fn registered_names() -> BTreeSet<String> {
     let mut names = BTreeSet::new();
 
     let mut sys = DedupSystem::new("metrics-doc", config()).background(BackgroundMode::Unthrottled);
-    let tracer = Tracer::new();
-    sys.store_mut().attach_tracer(tracer);
+    let store = sys.store_mut();
+    store.observe(store.observer().clone().traced());
 
     // driver.* registers per run; a short mixed workload also exercises
     // the engine so gauges carry real values.

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use dedup_bench::drivers::{run_closed_loop_with_background, OpSpec};
-use dedup_bench::report::MetricsSidecar;
+use dedup_bench::report::Sidecars;
 use dedup_bench::systems::{BackgroundMode, DedupSystem, StorageSystem};
 use dedup_core::{CachePolicy, DedupConfig, Watermarks};
 use dedup_sim::SimTime;
@@ -103,14 +103,17 @@ fn fig14_style_snapshot_is_consistent() {
     let stats = run_closed_loop_with_background(&mut sys, STREAMS, OPS, 14, true, |i, _| seq_op(i));
     assert_eq!(stats.ops, OPS);
 
-    let mut sidecar = MetricsSidecar::new("test-fig14");
+    let mut sidecar = Sidecars::new("test-fig14");
     sidecar.capture("controlled", &sys, stats.elapsed);
 
     // Non-empty; every line is a self-contained JSON object tagged with
     // the system label.
-    assert!(!sidecar.lines().is_empty(), "snapshot must not be empty");
+    assert!(
+        !sidecar.metrics_lines().is_empty(),
+        "snapshot must not be empty"
+    );
     let mut by_name: HashMap<String, String> = HashMap::new();
-    for line in sidecar.lines() {
+    for line in sidecar.metrics_lines() {
         assert!(
             line.starts_with('{') && line.ends_with('}'),
             "not a JSON object: {line}"
@@ -184,7 +187,7 @@ fn fig14_style_snapshot_is_consistent() {
     // Per-resource utilisation was sampled for every OSD's disk and sits
     // inside [0, 100%] in parts-per-million.
     let util_lines: Vec<&String> = sidecar
-        .lines()
+        .metrics_lines()
         .iter()
         .filter(|l| field(l, "metric").as_deref() == Some("sim.resource.utilization_ppm"))
         .collect();

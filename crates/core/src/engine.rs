@@ -13,7 +13,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use dedup_chunk::FixedChunker;
 use dedup_fingerprint::{ChunkSig, Fingerprint, SIG_SAMPLE_BYTES};
-use dedup_obs::{EventLog, Registry, Severity, Tracer};
+use dedup_obs::{EventLog, Observer, Registry, Severity, Tracer};
 use dedup_placement::PoolId;
 use dedup_sim::{CostExpr, SimDuration, SimTime};
 use dedup_store::{
@@ -216,11 +216,6 @@ pub struct DedupStore {
     rate: Mutex<RateController>,
     stats: AtomicEngineStats,
     metrics: EngineMetrics,
-    tracer: Option<Tracer>,
-    /// Structured event log shared with the cluster; `None` (the default)
-    /// keeps every emission site a single branch — the same
-    /// zero-cost-when-off contract as the tracer.
-    events: Option<EventLog>,
     /// The chunk index: Bloom-gated negative lookups plus (with
     /// [`DedupConfig::tiered_fingerprint`]) the signature → candidate map
     /// behind the tiered fingerprint pipeline. Every chunk creation goes
@@ -253,12 +248,8 @@ impl DedupStore {
         let chunker = FixedChunker::new(config.chunk_size);
         let hitset = SharedHitSet::new(config.hitset);
         let rate = RateController::new(config.watermarks);
-        // One registry per stack: the engine owns it and rebinds the
-        // cluster's instruments so a single snapshot covers both layers.
-        let registry = Registry::new();
-        cluster.attach_registry(registry.clone());
         let shard_count = config.foreground_shards.max(1);
-        let metrics = EngineMetrics::new(registry, SimDuration::from_secs(1), shard_count);
+        let metrics = EngineMetrics::new(cluster.registry(), shard_count);
         let index = ChunkIndex::new(config.bloom);
         DedupStore {
             cluster,
@@ -273,8 +264,6 @@ impl DedupStore {
             rate: Mutex::new(rate),
             stats: AtomicEngineStats::default(),
             metrics,
-            tracer: None,
-            events: None,
             index,
             weak_seq: AtomicU64::new(0),
             stall: Mutex::new(crate::health::StallState::default()),
@@ -384,7 +373,7 @@ impl DedupStore {
     /// The metrics registry shared by the engine and its cluster; snapshot
     /// it to observe the whole stack at once.
     pub fn registry(&self) -> &Registry {
-        self.metrics.registry()
+        self.cluster.registry()
     }
 
     /// Objects currently queued for background deduplication.
@@ -450,41 +439,38 @@ impl DedupStore {
         &self.metrics
     }
 
-    /// Attaches a tracer to the whole stack: the engine labels its dedup
-    /// cost legs, the underlying cluster labels its replication/EC legs,
-    /// and the tracer's slow-op counter lands in this engine's registry.
-    pub fn attach_tracer(&mut self, tracer: Tracer) {
-        self.cluster.attach_tracer(tracer.clone());
-        tracer.attach_registry(self.registry());
-        self.tracer = Some(tracer);
+    /// Attaches `obs` as the whole stack's observer: the engine labels its
+    /// dedup cost legs and emits bloom-overfill, stage-conflict,
+    /// rate-band, GC and recovery events through it, the underlying
+    /// cluster does the same for its replication/EC legs and OSD/WAL
+    /// lifecycle (see [`Cluster::observe`]), and both layers' instruments
+    /// rebind to its registry. Observe before driving I/O. Tracing and
+    /// events never change virtual-time results.
+    pub fn observe(&mut self, obs: Observer) {
+        self.cluster.observe(obs);
+        self.metrics = EngineMetrics::new(self.cluster.registry(), self.shards.len());
+    }
+
+    /// The stack's observer.
+    pub fn observer(&self) -> &Observer {
+        self.cluster.observer()
     }
 
     /// The attached tracer, if any.
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
-    }
-
-    /// Attaches a structured event log to the whole stack: the engine
-    /// emits bloom-overfill, stage-conflict, rate-band, GC and recovery
-    /// events, and the underlying cluster emits OSD and WAL lifecycle
-    /// events into the same bounded ring. Events only *observe* the
-    /// virtual timeline — attaching a log never changes virtual-time
-    /// results.
-    pub fn attach_events(&mut self, events: EventLog) {
-        self.cluster.attach_events(events.clone());
-        self.events = Some(events);
+        self.cluster.tracer()
     }
 
     /// The attached event log, if any.
     pub fn events(&self) -> Option<&EventLog> {
-        self.events.as_ref()
+        self.cluster.events()
     }
 
     /// Advances the event log's virtual clock when one is attached, so
     /// clock-less emitters (admin paths, recovery) stamp correctly.
     #[inline]
     fn advance_events(&self, now: SimTime) {
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.cluster.events() {
             ev.advance(now);
         }
     }
@@ -492,7 +478,7 @@ impl DedupStore {
     /// Tags `cost` with a semantic label when a tracer is attached;
     /// returns it untouched (no allocation) otherwise.
     fn label(&self, label: &str, cost: CostExpr) -> CostExpr {
-        if self.tracer.is_some() {
+        if self.cluster.tracer().is_some() {
             CostExpr::tagged(label, cost)
         } else {
             cost
@@ -501,7 +487,7 @@ impl DedupStore {
 
     fn meta_ctx(&self, client: ClientId) -> IoCtx {
         let ctx = IoCtx::new(self.metadata_pool).with_client(client);
-        match &self.tracer {
+        match self.cluster.tracer() {
             Some(t) => ctx.with_trace(t.ctx()),
             None => ctx,
         }
@@ -509,7 +495,7 @@ impl DedupStore {
 
     fn chunk_ctx(&self, client: ClientId) -> IoCtx {
         let ctx = IoCtx::new(self.chunk_pool).with_client(client);
-        match &self.tracer {
+        match self.cluster.tracer() {
             Some(t) => ctx.with_trace(t.ctx()),
             None => ctx,
         }
@@ -553,7 +539,7 @@ impl DedupStore {
         };
         let prev = self.metrics.rate_band.get();
         self.metrics.rate_band.set(band);
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.cluster.events() {
             ev.advance(now);
             if prev != band {
                 ev.emit_at(
@@ -1693,7 +1679,7 @@ impl DedupStore {
             .set(batch.objects.len() as i64);
         let elapsed = start.elapsed().as_nanos() as u64;
         self.metrics.stage_wall_ns.record(elapsed);
-        if let Some(t) = &self.tracer {
+        if let Some(t) = self.cluster.tracer() {
             let end = t.wall_now_ns();
             t.wall_span("flush.stage", end.saturating_sub(elapsed), end);
         }
@@ -1739,7 +1725,7 @@ impl DedupStore {
         );
         let elapsed = start.elapsed().as_nanos() as u64;
         self.metrics.fingerprint_wall_ns.record(elapsed);
-        if let Some(t) = &self.tracer {
+        if let Some(t) = self.cluster.tracer() {
             let end = t.wall_now_ns();
             t.wall_span("flush.fingerprint", end.saturating_sub(elapsed), end);
         }
@@ -1780,7 +1766,7 @@ impl DedupStore {
         }
         let elapsed = start.elapsed().as_nanos() as u64;
         self.metrics.commit_wall_ns.record(elapsed);
-        if let Some(t) = &self.tracer {
+        if let Some(t) = self.cluster.tracer() {
             let end = t.wall_now_ns();
             t.wall_span("flush.commit", end.saturating_sub(elapsed), end);
         }
@@ -1811,7 +1797,7 @@ impl DedupStore {
         if let Some(ticket) = ticket {
             if !self.dirty.lock().check(&name, ticket) {
                 self.metrics.stage_conflicts.inc();
-                if let Some(ev) = &self.events {
+                if let Some(ev) = self.cluster.events() {
                     ev.emit(
                         Severity::Warn,
                         "engine.flush",
@@ -2026,7 +2012,7 @@ impl DedupStore {
             costs[slot] = self.label("flush.deref", t.cost);
         }
         if chunks_compressed > 0 {
-            if let Some(ev) = &self.events {
+            if let Some(ev) = self.cluster.events() {
                 ev.emit(
                     Severity::Info,
                     "engine.compress",
@@ -2182,7 +2168,7 @@ impl DedupStore {
             .set((fill * 1_000_000.0) as i64);
         if fill > 0.5 && !self.bloom_warned.swap(true, Ordering::Relaxed) {
             self.metrics.bloom_overfill.inc();
-            if let Some(ev) = &self.events {
+            if let Some(ev) = self.cluster.events() {
                 ev.emit(
                     Severity::Warn,
                     "engine.bloom",
@@ -2339,7 +2325,7 @@ impl DedupStore {
         self.metrics
             .gc_stale_refs_dropped
             .add(report.stale_refs_dropped);
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.cluster.events() {
             if report.chunks_reclaimed > 0
                 || report.stale_refs_dropped > 0
                 || report.counts_corrected > 0
@@ -2540,7 +2526,7 @@ impl DedupStore {
         let flush = self.flush_all(now)?.value;
         let gc = self.gc_chunk_pool()?.value;
         let checkpoint_seq = self.cluster.wal_checkpoint()?.last_seq;
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.cluster.events() {
             ev.emit_at(
                 now,
                 Severity::Info,

@@ -1,10 +1,11 @@
 //! Engine-level observability: cached instrument handles for the dedup
 //! layer's hot paths.
 //!
-//! The engine creates one [`Registry`] per stack and shares it with its
-//! cluster ([`Cluster::attach_registry`](dedup_store::Cluster)), so a
-//! single snapshot covers foreground I/O, the background flush engine,
-//! rate control, and the data plane underneath.
+//! The engine records into its cluster's [`Registry`] — the one the
+//! stack's observer carries
+//! ([`Cluster::observe`](dedup_store::Cluster::observe)) — so a single
+//! snapshot covers foreground I/O, the background flush engine, rate
+//! control, and the data plane underneath.
 
 use dedup_obs::{Counter, Gauge, Histogram, Meter, Registry};
 use dedup_sim::SimDuration;
@@ -12,7 +13,6 @@ use dedup_sim::SimDuration;
 /// Instrument handles for one dedup engine.
 #[derive(Debug, Clone)]
 pub(crate) struct EngineMetrics {
-    registry: Registry,
     /// Foreground writes served.
     pub writes: Counter,
     /// Bytes written by clients.
@@ -150,7 +150,7 @@ pub(crate) struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    pub(crate) fn new(registry: Registry, rate_window: SimDuration, shards: usize) -> Self {
+    pub(crate) fn new(registry: &Registry, shards: usize) -> Self {
         EngineMetrics {
             shard_ops: (0..shards)
                 .map(|i| registry.counter_with("service.shard.ops", &[("shard", &i.to_string())]))
@@ -216,12 +216,7 @@ impl EngineMetrics {
             fp_weak_stored: registry.counter("engine.fp.weak_chunks_stored"),
             index_probe_ns: registry.histogram("engine.index.probe_wall_ns"),
             index_resident_bytes: registry.gauge("engine.index.resident_bytes"),
-            foreground_ops: registry.meter("rate.foreground_ops", rate_window),
-            registry,
+            foreground_ops: registry.meter("rate.foreground_ops", SimDuration::from_secs(1)),
         }
-    }
-
-    pub(crate) fn registry(&self) -> &Registry {
-        &self.registry
     }
 }

@@ -93,7 +93,7 @@ const TICK_FLOOD_THRESHOLD: u64 = 64;
 fn record_worker_error(
     state: &WorkerState,
     errors: &Counter,
-    events: &Option<EventLog>,
+    events: Option<&EventLog>,
     e: DedupError,
 ) {
     // An engine failure must not vanish with the tick: record it where
@@ -139,7 +139,7 @@ impl DedupService {
         });
         // The worker publishes its progress into the stack's shared
         // registry, so snapshots show background activity too.
-        let (ticks, coalesced, flushes, errors, fingerprint_wall, parallelism, tracer, events) = {
+        let (ticks, coalesced, flushes, errors, fingerprint_wall, parallelism, obs) = {
             let s = store.read();
             let r = s.registry();
             (
@@ -149,8 +149,7 @@ impl DedupService {
                 r.counter("service.worker.errors"),
                 r.histogram("engine.flush.fingerprint_wall_ns"),
                 s.fingerprint_parallelism(),
-                s.tracer().cloned(),
-                s.events().cloned(),
+                s.observer().clone(),
             )
         };
         // Stage-2 knobs, captured once: config is immutable while the
@@ -167,6 +166,7 @@ impl DedupService {
                 // A non-tick command drained while coalescing must run
                 // *after* the collapsed tick pass, in its original order.
                 let mut pending: Option<Command> = None;
+                let events = obs.events();
                 loop {
                     let cmd = match pending.take() {
                         Some(cmd) => cmd,
@@ -197,7 +197,7 @@ impl DedupService {
                             }
                             ticks.inc();
                             if collapsed_here >= TICK_FLOOD_THRESHOLD {
-                                if let Some(ev) = &events {
+                                if let Some(ev) = events {
                                     ev.emit_at(
                                         now,
                                         Severity::Warn,
@@ -211,7 +211,7 @@ impl DedupService {
                             // thread's track; the engine adds stage/commit
                             // spans inside it while fingerprinting lands
                             // here (the lock-released stretch).
-                            let tick_ctx = tracer.as_ref().map(|t| {
+                            let tick_ctx = obs.tracer().map(|t| {
                                 t.begin_wall_op(
                                     "service.tick",
                                     &format!("now_s={:.3}", now.as_secs_f64()),
@@ -231,7 +231,7 @@ impl DedupService {
                                     Ok(Some(batch)) => batch,
                                     Ok(None) => break,
                                     Err(e) => {
-                                        record_worker_error(&worker_state, &errors, &events, e);
+                                        record_worker_error(&worker_state, &errors, events, e);
                                         break;
                                     }
                                 };
@@ -240,7 +240,7 @@ impl DedupService {
                                 fingerprint_batch(&mut batch, parallelism, tiered, &compression);
                                 let fp_ns = fp_start.elapsed().as_nanos() as u64;
                                 fingerprint_wall.record(fp_ns);
-                                if let Some(t) = &tracer {
+                                if let Some(t) = obs.tracer() {
                                     let end = t.wall_now_ns();
                                     t.wall_span(
                                         "flush.fingerprint",
@@ -266,12 +266,12 @@ impl DedupService {
                                         }
                                     }
                                     Err(e) => {
-                                        record_worker_error(&worker_state, &errors, &events, e);
+                                        record_worker_error(&worker_state, &errors, events, e);
                                         break;
                                     }
                                 }
                             }
-                            if let (Some(t), Some(ctx)) = (&tracer, &tick_ctx) {
+                            if let (Some(t), Some(ctx)) = (obs.tracer(), &tick_ctx) {
                                 t.finish_wall_op(ctx);
                             }
                         }

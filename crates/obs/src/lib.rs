@@ -30,16 +30,20 @@
 //!   JSON-lines export.
 //! - [`health`] — the [`HealthCheck`] trait plus `ok/degraded/critical`
 //!   aggregation into a machine-readable [`HealthReport`].
+//! - [`observer`] — the [`Observer`] handle bundling one stack's
+//!   registry, tracer and event log.
 //!
-//! One `Registry` is created per storage stack (the engine builds it and
-//! shares it with its cluster) so a single snapshot shows the whole
-//! system: foreground op latencies next to flush-queue depth next to disk
-//! utilisation. A `Tracer` is attached the same way when `DEDUP_TRACE_DIR`
-//! is set, producing `<figure>.trace.json` sidecars.
+//! Each storage stack holds one `Observer`: the cluster owns it and the
+//! engine and service read through it, so a single registry snapshot
+//! shows the whole system (foreground op latencies next to flush-queue
+//! depth next to disk utilisation), and attaching a traced observer once
+//! reaches every layer. Figure binaries run with `--trace` attach one and
+//! write their sidecars under `$DEDUP_OBS_DIR`.
 
 pub mod chrome;
 pub mod events;
 pub mod health;
+pub mod observer;
 pub mod optracker;
 pub mod probe;
 pub mod registry;
@@ -48,6 +52,7 @@ pub mod trace;
 pub use chrome::{render, validate_chrome_trace};
 pub use events::{Event, EventLog, Severity};
 pub use health::{HealthCheck, HealthFinding, HealthReport, HealthStatus};
+pub use observer::Observer;
 pub use optracker::{Clock, OpTrace, OpTracker, SlowOpEvent, Span, Track, TrackerConfig};
 pub use probe::{sample_flow_engine, sample_resources};
 pub use registry::{

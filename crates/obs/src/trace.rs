@@ -126,7 +126,7 @@ impl Tracer {
     }
 
     /// Publishes the slow-op counter as `trace.slow_ops` in `registry`.
-    pub fn attach_registry(&self, registry: &Registry) {
+    pub(crate) fn attach_registry(&self, registry: &Registry) {
         self.lock().slow_counter = Some(registry.counter("trace.slow_ops"));
     }
 

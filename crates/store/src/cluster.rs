@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use dedup_erasure::ReedSolomon;
-use dedup_obs::{EventLog, Registry, Severity, TraceCtx, Tracer};
+use dedup_obs::{EventLog, Observer, Registry, Severity, TraceCtx, Tracer};
 use dedup_placement::{ClusterMap, NodeId, OsdId, PgMap, PoolId};
 use dedup_sim::{CostExpr, SimTime};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -184,10 +184,9 @@ pub struct Cluster {
     pub(crate) perf: PerfTopology,
     object_size_cap: u64,
     pub(crate) metrics: ClusterMetrics,
-    pub(crate) tracer: Option<Tracer>,
-    /// Structured event log for OSD and WAL lifecycle events; `None` (the
-    /// default) keeps every emission site a single branch.
-    pub(crate) events: Option<EventLog>,
+    /// The stack's one observer: registry, tracer and event log. Stacked
+    /// layers (the dedup engine, its service) read through it.
+    obs: Observer,
     wal: Option<WalState>,
 }
 
@@ -336,6 +335,7 @@ impl ClusterBuilder {
             }
         }
         let perf = PerfTopology::build(self.perf, self.nodes, self.osds_per_node);
+        let obs = Observer::default();
         Cluster {
             map,
             osds,
@@ -343,9 +343,8 @@ impl ClusterBuilder {
             next_pool: 1,
             perf,
             object_size_cap: self.object_size_cap,
-            metrics: ClusterMetrics::new(Registry::new()),
-            tracer: None,
-            events: None,
+            metrics: ClusterMetrics::new(obs.registry()),
+            obs,
             wal: None,
         }
     }
@@ -373,42 +372,42 @@ impl Cluster {
     }
 
     /// The metrics registry this cluster records into.
+    #[inline]
     pub fn registry(&self) -> &Registry {
-        self.metrics.registry()
+        self.obs.registry()
     }
 
-    /// Rebinds the cluster's instruments to `registry`, so several layers
-    /// (e.g. the dedup engine stacked on this cluster) share one registry
-    /// and one snapshot. Counts recorded against the previous registry are
-    /// not carried over — attach before driving I/O.
-    pub fn attach_registry(&mut self, registry: Registry) {
-        self.metrics = ClusterMetrics::new(registry);
+    /// Attaches `obs` as the stack's observer. The cluster's instruments
+    /// rebind to its registry (counts recorded against the previous
+    /// registry are not carried over, so observe before driving I/O), its
+    /// tracer learns the timing plane's resource names and tags the legs
+    /// of cluster-internal ops (recovery, scrub), and OSD, WAL and
+    /// recovery lifecycle events go to its event log. Tracing and events
+    /// only observe: they never add virtual cost.
+    pub fn observe(&mut self, obs: Observer) {
+        if let Some(t) = obs.tracer() {
+            t.register_resources(&self.perf.pool);
+        }
+        self.metrics = ClusterMetrics::new(obs.registry());
+        self.obs = obs;
     }
 
-    /// Attaches a per-op tracer. Cluster-internal ops with no caller
-    /// context (recovery, scrub) tag their cost legs through it, and
-    /// stacked layers can retrieve it via [`Cluster::tracer`]. The tracer
-    /// also learns the timing plane's resource names.
-    pub fn attach_tracer(&mut self, tracer: Tracer) {
-        tracer.register_resources(&self.perf.pool);
-        self.tracer = Some(tracer);
+    /// The stack's observer.
+    #[inline]
+    pub fn observer(&self) -> &Observer {
+        &self.obs
     }
 
     /// The attached tracer, if any.
+    #[inline]
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
-    }
-
-    /// Attaches a structured event log: OSD up/down transitions, WAL
-    /// checkpoints/recoveries/torn-tail drops, and recovery repair passes
-    /// emit into it. Events only observe — they never add virtual cost.
-    pub fn attach_events(&mut self, events: EventLog) {
-        self.events = Some(events);
+        self.obs.tracer()
     }
 
     /// The attached event log, if any.
+    #[inline]
     pub fn events(&self) -> Option<&EventLog> {
-        self.events.as_ref()
+        self.obs.events()
     }
 
     /// Attaches the durability plane: from here on every committed
@@ -523,7 +522,7 @@ impl Cluster {
         }
         w.epoch.store(epoch, Ordering::Relaxed);
         self.metrics.wal_checkpoints.inc();
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.obs.events() {
             ev.emit(
                 Severity::Info,
                 "cluster.wal",
@@ -609,7 +608,7 @@ impl Cluster {
             if torn {
                 report.torn_tails_dropped += 1;
                 self.metrics.wal_torn_dropped.inc();
-                if let Some(ev) = &self.events {
+                if let Some(ev) = self.obs.events() {
                     ev.emit(
                         Severity::Warn,
                         "cluster.wal",
@@ -647,7 +646,7 @@ impl Cluster {
         self.metrics
             .wal_recovery_wall_ns
             .record(start.elapsed().as_nanos() as u64);
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.obs.events() {
             ev.emit(
                 Severity::Info,
                 "cluster.wal",
@@ -699,7 +698,7 @@ impl Cluster {
     /// Tags `cost` when a tracer is attached (for cluster-internal ops
     /// that have no caller-supplied [`IoCtx`] trace).
     pub(crate) fn label(&self, label: &str, cost: CostExpr) -> CostExpr {
-        match &self.tracer {
+        match self.obs.tracer() {
             Some(_) => CostExpr::tagged(label, cost),
             None => cost,
         }
@@ -736,7 +735,7 @@ impl Cluster {
         self.metrics
             .exec_latency
             .record(done.saturating_since(now).as_nanos());
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.obs.events() {
             ev.advance(done);
         }
         done
@@ -1759,7 +1758,7 @@ impl Cluster {
     pub fn fail_osd(&mut self, osd: OsdId) {
         self.map.set_up(osd, false);
         self.osds[osd.0 as usize].write().wipe();
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.obs.events() {
             ev.emit(
                 Severity::Error,
                 "cluster.osd",
@@ -1776,7 +1775,7 @@ impl Cluster {
     /// Panics for unknown OSD ids.
     pub fn mark_down(&mut self, osd: OsdId) {
         self.map.set_up(osd, false);
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.obs.events() {
             ev.emit(
                 Severity::Warn,
                 "cluster.osd",
@@ -1794,7 +1793,7 @@ impl Cluster {
     /// Panics for unknown OSD ids.
     pub fn revive_osd(&mut self, osd: OsdId) {
         self.map.set_up(osd, true);
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.obs.events() {
             ev.emit(
                 Severity::Info,
                 "cluster.osd",

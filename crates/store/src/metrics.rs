@@ -11,7 +11,6 @@ use dedup_obs::{Counter, Histogram, Registry};
 /// Instrument handles for one cluster.
 #[derive(Debug, Clone)]
 pub(crate) struct ClusterMetrics {
-    registry: Registry,
     /// Write transactions (any transaction carrying payload data).
     pub writes: Counter,
     /// Payload bytes accepted by write transactions.
@@ -58,7 +57,7 @@ pub(crate) struct ClusterMetrics {
 }
 
 impl ClusterMetrics {
-    pub(crate) fn new(registry: Registry) -> Self {
+    pub(crate) fn new(registry: &Registry) -> Self {
         ClusterMetrics {
             writes: registry.counter("cluster.writes"),
             write_bytes: registry.counter("cluster.write_bytes"),
@@ -80,11 +79,6 @@ impl ClusterMetrics {
             wal_records_replayed: registry.counter("wal.records_replayed"),
             wal_torn_dropped: registry.counter("wal.torn_records_dropped"),
             wal_recovery_wall_ns: registry.histogram("wal.recovery_wall_ns"),
-            registry,
         }
-    }
-
-    pub(crate) fn registry(&self) -> &Registry {
-        &self.registry
     }
 }
