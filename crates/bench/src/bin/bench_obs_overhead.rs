@@ -27,7 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use dedup_bench::drivers::{run_closed_loop, run_closed_loop_with_background, OpSpec, RunStats};
-use dedup_bench::report::bench_args;
 use dedup_bench::systems::{BackgroundMode, DedupSystem, StorageSystem};
 use dedup_core::{CachePolicy, DedupConfig};
 use dedup_sim::SimTime;
@@ -197,6 +196,23 @@ fn run_once(ops: u64, backlog: u64, attached: bool) -> RunOutcome {
         );
     }
     outcome
+}
+
+/// Parses `--smoke` (shrink the workload for CI) and `--out PATH`
+/// (results JSON, default `default_out`), panicking on any other
+/// argument.
+fn bench_args(default_out: &str) -> (bool, String) {
+    let mut smoke = false;
+    let mut out = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--out" => out = Some(args.next().expect("--out needs a path")),
+            other => panic!("unknown argument: {other} (expected --smoke | --out PATH)"),
+        }
+    }
+    (smoke, out.unwrap_or_else(|| default_out.to_string()))
 }
 
 fn main() {

@@ -1,6 +1,5 @@
-//! Markdown reporting shared by every experiment binary, the sidecar
-//! files every figure binary drops next to its output, and the argument
-//! parsing shared by the `bench_*` binaries.
+//! Markdown reporting shared by every experiment binary and the sidecar
+//! files every figure binary drops next to its output.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -144,23 +143,6 @@ fn write_sidecar(dir: &Path, name: &str, body: String) -> Option<PathBuf> {
             None
         }
     }
-}
-
-/// Parses the `bench_*` binaries' `--smoke` (shrink the workload for CI)
-/// and `--out PATH` (results JSON, default `default_out`) flags,
-/// panicking on any other argument.
-pub fn bench_args(default_out: &str) -> (bool, String) {
-    let mut smoke = false;
-    let mut out = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(args.next().expect("--out needs a path")),
-            other => panic!("unknown argument: {other} (expected --smoke | --out PATH)"),
-        }
-    }
-    (smoke, out.unwrap_or_else(|| default_out.to_string()))
 }
 
 /// Prints an experiment header with the paper reference.

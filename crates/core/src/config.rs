@@ -231,12 +231,6 @@ pub struct DedupConfig {
     /// without ever being fully hashed. Off by default; the default path
     /// is byte-identical to the classic engine.
     pub tiered_fingerprint: bool,
-    /// Reconstructs the pre-RwLock foreground plane for A/B
-    /// benchmarking: reads take their shard lock in *exclusive* mode, so
-    /// same-shard reads serialize exactly as with the historical
-    /// `Mutex` shards. Off by default (reads share). Wall-clock only —
-    /// virtual-time results are identical either way.
-    pub exclusive_shard_reads: bool,
     /// Inline chunk-pool compression plane (off by default; the default
     /// path is byte-identical to the pre-compression engine).
     pub compression: CompressionConfig,
@@ -257,7 +251,6 @@ impl Default for DedupConfig {
             foreground_shards: 16,
             bloom: BloomConfig::default(),
             tiered_fingerprint: false,
-            exclusive_shard_reads: false,
             compression: CompressionConfig::default(),
         }
     }
@@ -328,14 +321,6 @@ impl DedupConfig {
     pub fn foreground_shards(mut self, shards: usize) -> Self {
         assert!(shards > 0, "foreground shard count must be positive");
         self.foreground_shards = shards;
-        self
-    }
-
-    /// Makes foreground reads take their shard lock exclusively (the
-    /// pre-RwLock baseline). Benchmarking knob; see
-    /// [`DedupConfig::exclusive_shard_reads`].
-    pub fn exclusive_shard_reads(mut self) -> Self {
-        self.exclusive_shard_reads = true;
         self
     }
 

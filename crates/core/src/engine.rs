@@ -165,18 +165,6 @@ pub fn shard_index(name: &ObjectName, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
 
-/// A held foreground shard lock, in either sharing mode. Only the guard's
-/// lifetime matters to callers; the enum exists because the read path can
-/// be configured ([`DedupConfig::exclusive_shard_reads`]) to take the
-/// exclusive side for baseline benchmarking.
-#[allow(dead_code)]
-enum ShardGuard<'a> {
-    /// Shared (read) side: other readers of the shard proceed.
-    Read(RwLockReadGuard<'a, ()>),
-    /// Exclusive (write) side: the shard is single-threaded.
-    Write(RwLockWriteGuard<'a, ()>),
-}
-
 /// The deduplicating storage service layered on a [`Cluster`].
 ///
 /// # Locking model (see DESIGN.md §9)
@@ -204,8 +192,7 @@ pub struct DedupStore {
     chunker: FixedChunker,
     /// Foreground namespace stripes: shard `i` owns every object hashing
     /// to `i`. Reader-writer: mutations hold the write side, reads share
-    /// the read side (unless [`DedupConfig::exclusive_shard_reads`]
-    /// reconstructs the old exclusive behaviour for A/B benchmarking).
+    /// the read side.
     shards: Vec<RwLock<()>>,
     /// Chunk refcount stripes: serialize the get_xattr → omap → transact
     /// read-modify-write in [`DedupStore::store_chunk`] /
@@ -328,7 +315,7 @@ impl DedupStore {
     /// Acquires the foreground shard lock owning `name` in *write*
     /// (exclusive) mode, recording the per-shard op counters and the
     /// wall-clock wait under `mode=write`.
-    fn lock_shard_write(&self, name: &ObjectName) -> ShardGuard<'_> {
+    fn lock_shard_write(&self, name: &ObjectName) -> RwLockWriteGuard<'_, ()> {
         let idx = shard_index(name, self.shards.len());
         let start = Instant::now();
         let guard = self.shards[idx].write();
@@ -337,24 +324,16 @@ impl DedupStore {
             .record(start.elapsed().as_nanos() as u64);
         self.metrics.shard_ops[idx].inc();
         self.metrics.shard_write_ops[idx].inc();
-        ShardGuard::Write(guard)
+        guard
     }
 
     /// Acquires the foreground shard lock owning `name` in *read*
     /// (shared) mode, recording the per-shard op counters and the
-    /// wall-clock wait under `mode=read`. With
-    /// [`DedupConfig::exclusive_shard_reads`] set the guard is exclusive
-    /// instead — the pre-RwLock behaviour, kept reconstructible so the
-    /// open-loop bench can A/B the two under identical workloads — but
-    /// the op still counts as a read.
-    fn lock_shard_read(&self, name: &ObjectName) -> ShardGuard<'_> {
+    /// wall-clock wait under `mode=read`.
+    fn lock_shard_read(&self, name: &ObjectName) -> RwLockReadGuard<'_, ()> {
         let idx = shard_index(name, self.shards.len());
         let start = Instant::now();
-        let guard = if self.config.exclusive_shard_reads {
-            ShardGuard::Write(self.shards[idx].write())
-        } else {
-            ShardGuard::Read(self.shards[idx].read())
-        };
+        let guard = self.shards[idx].read();
         self.metrics
             .shard_lock_wait_read_ns
             .record(start.elapsed().as_nanos() as u64);
@@ -3187,6 +3166,44 @@ mod tests {
         let f = s.flush_all(t(5)).expect("flush");
         let done = s.cluster_mut().execute_at(t(5), &f.cost);
         assert!(done > t(5));
+    }
+
+    #[test]
+    fn reads_share_the_shard_lock_and_writes_exclude() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let s = &store();
+        let name = &ObjectName::new("shared");
+        let data = &patterned(CS as usize, 5);
+        let _ = s.write(ClientId(0), name, 0, data, t(0)).expect("write");
+        let held = s.lock_shard_read(name);
+        std::thread::scope(|scope| {
+            let (read_tx, read_rx) = mpsc::channel();
+            scope.spawn(move || {
+                let r = s.read(ClientId(0), name, 0, CS as u64, t(1));
+                let _ = read_tx.send(r.expect("read").value);
+            });
+            // A timeout, not a join: a regression fails instead of hanging.
+            let got = read_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a read must share a held read guard");
+            assert_eq!(got, data[..]);
+
+            let (write_tx, write_rx) = mpsc::channel();
+            scope.spawn(move || {
+                let _ = s.write(ClientId(0), name, 0, data, t(2)).expect("write");
+                let _ = write_tx.send(());
+            });
+            assert!(
+                write_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+                "a write must wait for the held read guard"
+            );
+            drop(held);
+            write_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the write finishes once the guard drops");
+        });
     }
 }
 

@@ -18,6 +18,7 @@
 use dedup_core::{DedupConfig, DedupStore, FingerprintDomain};
 use dedup_sim::SimTime;
 use dedup_store::{ClientId, ClusterBuilder, ObjectName};
+use dedup_workloads::vm_images::VmImageSpec;
 
 const CS: u32 = 4096;
 
@@ -133,6 +134,7 @@ fn reads_byte_identical_across_modes_and_mixed_pools() {
             .compress()
             .compress_domain(FingerprintDomain::Compressed),
     ];
+    let mut full_hash_bytes = Vec::new();
     for (i, config) in configs.into_iter().enumerate() {
         let compress_on = i > 0;
         let mut s = store_with(config);
@@ -157,7 +159,65 @@ fn reads_byte_identical_across_modes_and_mixed_pools() {
             assert!(report.saved_bytes() > 0);
             assert!(report.ratio_ppm() < 1_000_000);
         }
+        full_hash_bytes.push(s.registry().counter("engine.fp.full_hash_bytes").get());
     }
+    // Naming chunks by their compressed bytes hashes no more than naming
+    // them by their plaintext.
+    assert!(
+        full_hash_bytes[2] <= full_hash_bytes[1],
+        "compressed-domain full hashing touched more bytes than raw-domain: \
+         {full_hash_bytes:?}"
+    );
+}
+
+/// VM images share their OS blocks and compress well: the engine's
+/// inline compression must read back the same bytes and store at least
+/// 30% fewer unique chunk-pool bytes than the same fleet without it.
+#[test]
+fn vm_images_compress_unique_chunk_bytes() {
+    let spec = VmImageSpec {
+        images: 3,
+        image_bytes: 1 << 20,
+        block_size: 64 * 1024,
+        ..Default::default()
+    };
+    let images = spec.all_images();
+    let chunk_bytes = |config: DedupConfig| {
+        let mut s = store_with(config);
+        for img in &images {
+            let _ = s
+                .write(
+                    ClientId(0),
+                    &ObjectName::new(&*img.name),
+                    0,
+                    img.data.clone(),
+                    t(0),
+                )
+                .expect("write");
+        }
+        let _ = s.flush_all(t(1)).expect("flush");
+        for img in &images {
+            let r = s
+                .read(
+                    ClientId(0),
+                    &ObjectName::new(&*img.name),
+                    0,
+                    img.data.len() as u64,
+                    t(2),
+                )
+                .expect("read");
+            assert_eq!(r.value, img.data[..], "{} read-back diverged", img.name);
+        }
+        s.space_report().expect("space").chunk_bytes
+    };
+    let off = chunk_bytes(DedupConfig::with_chunk_size(64 * 1024));
+    let on = chunk_bytes(DedupConfig::with_chunk_size(64 * 1024).compress());
+    let savings = 1.0 - on as f64 / off as f64;
+    assert!(
+        savings >= 0.30,
+        "VM images must save >= 30% unique chunk bytes: {off} -> {on} ({:.1}%)",
+        savings * 100.0
+    );
 }
 
 /// `FingerprintDomain::Compressed` must dedup identical plaintext

@@ -424,6 +424,61 @@ fn every_crash_point_recovers_compressed_domain_tiered() {
     audit_config_with(config, "compressed-domain-tiered", compress_workload());
 }
 
+/// Checkpoint, then a full WAL replay: the log is compacted into segments
+/// after a workload that exercises every WAL op kind (unique writes, a
+/// flush, duplicate rewrites that hit and dereference, a second flush, a
+/// GC pass), then an identically shaped cluster replays segments plus
+/// log tails and must serve every object byte-exact.
+#[test]
+fn checkpoint_then_full_replay_reads_back_byte_exact() {
+    let topology = CrashTopology::default();
+    let config = DedupConfig::with_chunk_size(CS);
+    let len = 2 * CS as usize;
+    let mut ops: Vec<Op> = (0..4u8)
+        .map(|obj| Op::Write {
+            obj,
+            offset: 0,
+            len,
+            seed: obj as u64 + 1,
+        })
+        .collect();
+    ops.push(Op::Flush { at: 3_600 });
+    // Odd objects take object 0's content: dedup hits plus derefs.
+    ops.extend([1u8, 3].map(|obj| Op::Write {
+        obj,
+        offset: 0,
+        len,
+        seed: 1,
+    }));
+    ops.extend([Op::Flush { at: 14_400 }, Op::Gc]);
+
+    let (mut s, backend) = wal_store(topology, config.clone());
+    let outcome = run_workload(&mut s, &ops, "checkpoint");
+    assert!(!outcome.crashed, "checkpoint workload crashed");
+    let appends = backend
+        .journal()
+        .iter()
+        .filter(|r| r.label == "wal.append")
+        .count();
+    assert!(appends > 0, "workload must log transactions");
+    s.cluster().wal_checkpoint().expect("wal_checkpoint");
+
+    let mut replayed = rebuilt_store(topology, config, backend);
+    let rep = replayed.cluster_mut().wal_recover().expect("wal_recover");
+    assert_eq!(
+        rep.replay_errors, 0,
+        "replay onto a faithful rebuild: {rep:?}"
+    );
+    assert!(
+        rep.checkpoint_records + rep.log_records_replayed > 0,
+        "replay must apply records: {rep:?}"
+    );
+    assert!(
+        model_matches(&replayed, &outcome.committed),
+        "replayed objects must read back byte-exact"
+    );
+}
+
 /// Property-style sweep: pseudo-random op sequences (LCG-driven), crash
 /// at every enumerated point of each sequence, recover, verify. Smaller
 /// sequences than the deterministic audit, more shapes.

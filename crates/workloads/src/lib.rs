@@ -15,8 +15,8 @@
 //!   all OS blocks, with compressible content.
 //! * [`backup`] — snapshot generations with overwrite/insertion mutations
 //!   (the CDC-vs-static chunking testbed).
-//! * [`zipf`] — seeded Zipf(θ) object popularity plus multi-tenant
-//!   open-loop arrival schedules (the skewed-serving testbed).
+//! * [`zipf`] — seeded Zipf(θ) object popularity (the skewed-serving
+//!   testbed).
 //!
 //! All generators are deterministic given a seed.
 

@@ -1,4 +1,4 @@
-//! Skewed object popularity and open-loop arrival schedules.
+//! Skewed object popularity.
 //!
 //! Real primary-storage traces are not uniform: a small set of hot
 //! objects draws most of the traffic (HPDedup's skew/locality analysis,
@@ -7,21 +7,8 @@
 //! default, θ > 1 concentrates brutally on the first few ranks — so
 //! benches and ablations share one seeded popularity model instead of
 //! hand-rolled "mostly re-read the hot quarter" loops.
-//!
-//! [`OpenLoopSpec`] builds on the sampler to describe a *multi-tenant
-//! open-loop* workload: each tenant issues ops at a fixed **virtual**
-//! arrival rate, with arrival times fixed up front rather than derived
-//! from completions. Open loop is the regime that exposes tail latency —
-//! a closed loop slows its own arrival rate when the server stalls,
-//! silently hiding the queueing a real client population would suffer;
-//! an open-loop schedule keeps arriving and lets the backlog show up in
-//! p99/p999. Schedules are deterministic per `(seed, tenant)` and
-//! independent across tenants, so N client threads can each replay their
-//! own tenant's schedule with no cross-thread coordination.
 
-use dedup_sim::SimTime;
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 
 /// Seeded Zipf(θ) sampler over ranks `0..n` (rank 0 most popular).
 ///
@@ -30,7 +17,6 @@ use rand::{RngCore, SeedableRng};
 /// word plus a binary search.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
-    theta: f64,
     /// `cdf[k]` = P(rank <= k); last entry is 1.0 (exactly, by division).
     cdf: Vec<f64>,
 }
@@ -60,17 +46,7 @@ impl ZipfSampler {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        ZipfSampler { theta, cdf }
-    }
-
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// The configured skew.
-    pub fn theta(&self) -> f64 {
-        self.theta
+        ZipfSampler { cdf }
     }
 
     /// Probability mass of `rank`.
@@ -100,107 +76,11 @@ impl ZipfSampler {
     }
 }
 
-/// Operation class in a GET/PUT mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// A read of a (shared, zipf-popular) object.
-    Get,
-    /// A mutation; callers decide what object a tenant's PUTs target.
-    Put,
-}
-
-/// One scheduled arrival in an open-loop replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduledOp {
-    /// Virtual arrival time — fixed by the schedule, never by
-    /// completions.
-    pub at: SimTime,
-    /// Tenant (client thread) issuing the op.
-    pub tenant: usize,
-    /// GET or PUT.
-    pub kind: OpKind,
-    /// Zipf-sampled object rank (0 = hottest).
-    pub object: usize,
-}
-
-/// A multi-tenant open-loop workload description.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpenLoopSpec {
-    /// Concurrent tenants (client threads), each with an independent
-    /// deterministic schedule.
-    pub tenants: usize,
-    /// Fixed virtual arrival rate per tenant, in ops per virtual second.
-    pub rate_per_tenant: f64,
-    /// Ops each tenant issues.
-    pub ops_per_tenant: u64,
-    /// Shared object population the zipf sampler ranks.
-    pub objects: usize,
-    /// Popularity skew θ.
-    pub theta: f64,
-    /// Fraction of ops that are GETs (the rest are PUTs).
-    pub get_fraction: f64,
-    /// Base seed; tenant t's stream is seeded from `seed` and `t`.
-    pub seed: u64,
-}
-
-impl OpenLoopSpec {
-    /// The zipf sampler this spec draws object ranks from.
-    pub fn sampler(&self) -> ZipfSampler {
-        ZipfSampler::new(self.objects, self.theta)
-    }
-
-    /// Tenant `t`'s deterministic schedule: `ops_per_tenant` arrivals at
-    /// the fixed virtual rate, each with a kind drawn from the GET/PUT
-    /// mix and an object rank drawn from Zipf(θ).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of range or the rate is not positive.
-    pub fn tenant_schedule(&self, t: usize) -> Vec<ScheduledOp> {
-        assert!(t < self.tenants, "tenant out of range");
-        assert!(
-            self.rate_per_tenant > 0.0 && self.rate_per_tenant.is_finite(),
-            "arrival rate must be positive"
-        );
-        let sampler = self.sampler();
-        let mut rng =
-            StdRng::seed_from_u64(self.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let gap_ns = 1_000_000_000.0 / self.rate_per_tenant;
-        (0..self.ops_per_tenant)
-            .map(|k| {
-                let at = SimTime::from_nanos((k as f64 * gap_ns) as u64);
-                let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                let kind = if u < self.get_fraction {
-                    OpKind::Get
-                } else {
-                    OpKind::Put
-                };
-                let object = sampler.sample(&mut rng);
-                ScheduledOp {
-                    at,
-                    tenant: t,
-                    kind,
-                    object,
-                }
-            })
-            .collect()
-    }
-
-    /// Every tenant's schedule merged into one stream, ordered by
-    /// arrival time (ties broken by tenant) — the shape
-    /// `run_open_loop`-style drivers replay.
-    pub fn merged_schedule(&self) -> Vec<ScheduledOp> {
-        let mut all: Vec<ScheduledOp> = (0..self.tenants)
-            .flat_map(|t| self.tenant_schedule(t))
-            .collect();
-        all.sort_by_key(|op| (op.at, op.tenant));
-        all
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn theta_zero_is_uniform() {
@@ -268,67 +148,5 @@ mod tests {
             z.probability(0)
         );
         assert!(counts[0] > counts[8], "rank 0 beats mid ranks");
-    }
-
-    fn spec() -> OpenLoopSpec {
-        OpenLoopSpec {
-            tenants: 3,
-            rate_per_tenant: 1000.0,
-            ops_per_tenant: 50,
-            objects: 16,
-            theta: 0.99,
-            get_fraction: 0.9,
-            seed: 99,
-        }
-    }
-
-    #[test]
-    fn arrivals_are_fixed_rate_and_open_loop() {
-        let sched = spec().tenant_schedule(0);
-        assert_eq!(sched.len(), 50);
-        for (k, op) in sched.iter().enumerate() {
-            // 1000 ops/s → one arrival per virtual millisecond,
-            // independent of the op kinds drawn around it.
-            assert_eq!(op.at, SimTime::from_nanos(k as u64 * 1_000_000));
-            assert_eq!(op.tenant, 0);
-            assert!(op.object < 16);
-        }
-    }
-
-    #[test]
-    fn tenant_schedules_are_deterministic_and_distinct() {
-        let s = spec();
-        assert_eq!(s.tenant_schedule(1), s.tenant_schedule(1));
-        let kinds = |t: usize| {
-            s.tenant_schedule(t)
-                .iter()
-                .map(|o| (o.kind, o.object))
-                .collect::<Vec<_>>()
-        };
-        assert_ne!(kinds(0), kinds(1), "tenants draw independent streams");
-    }
-
-    #[test]
-    fn get_fraction_is_respected() {
-        let s = OpenLoopSpec {
-            ops_per_tenant: 2000,
-            ..spec()
-        };
-        let gets = s
-            .tenant_schedule(0)
-            .iter()
-            .filter(|o| o.kind == OpKind::Get)
-            .count();
-        let frac = gets as f64 / 2000.0;
-        assert!((frac - 0.9).abs() < 0.03, "observed GET fraction {frac}");
-    }
-
-    #[test]
-    fn merged_schedule_is_time_ordered() {
-        let merged = spec().merged_schedule();
-        assert_eq!(merged.len(), 150);
-        for w in merged.windows(2) {
-            assert!((w[0].at, w[0].tenant) <= (w[1].at, w[1].tenant));
-        }
     }
 }

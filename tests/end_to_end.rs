@@ -39,6 +39,49 @@ fn verify_all(store: &mut DedupStore, dataset: &global_dedup::workloads::Dataset
     }
 }
 
+/// The fingerprint worker pool changes only wall-clock: a serial and a
+/// four-worker flush of the same unique-plus-duplicate writes must commit
+/// the same chunks and report the same outcome.
+#[test]
+fn flush_parallelism_does_not_change_outcomes() {
+    let dataset = FioSpec::new(4 << 20, 0.5).object_size(256 * 1024).dataset();
+    let flushed = |workers: usize| {
+        let mut store = DedupStore::with_default_pools(
+            ClusterBuilder::new().build(),
+            DedupConfig::with_chunk_size(32 * 1024)
+                .cache_policy(CachePolicy::EvictAll)
+                .flush_parallelism(workers)
+                .flush_batch_size(16),
+        );
+        for obj in &dataset.objects {
+            let name = ObjectName::new(&*obj.name);
+            let _ = store
+                .write(ClientId(0), &name, 0, &obj.data, SimTime::ZERO)
+                .expect("write");
+        }
+        let report = store
+            .flush_all(SimTime::from_secs(1_000))
+            .expect("flush")
+            .value;
+        verify_all(&mut store, &dataset);
+        let mut chunks = store
+            .cluster()
+            .list_objects(store.chunk_pool())
+            .expect("list chunk pool");
+        chunks.sort();
+        (report, store.space_report().expect("report"), chunks)
+    };
+    let (serial, parallel) = (flushed(1), flushed(4));
+    assert!(
+        serial.0.chunks_created > 0 && serial.0.chunks_deduped > 0,
+        "workload mixes unique and duplicate chunks: {:?}",
+        serial.0
+    );
+    assert_eq!(serial.0, parallel.0, "flush reports");
+    assert_eq!(serial.1, parallel.1, "space reports");
+    assert_eq!(serial.2, parallel.2, "chunk-pool objects");
+}
+
 #[test]
 fn fio_dataset_round_trips_and_dedups() {
     let dataset = FioSpec::new(8 << 20, 0.5).dataset();

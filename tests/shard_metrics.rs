@@ -161,24 +161,6 @@ fn truncate_and_delete_count_as_shard_ops() {
 }
 
 #[test]
-fn exclusive_shard_reads_still_count_as_reads() {
-    // The bench's reconstructed baseline takes the exclusive lock side
-    // for reads, but the op-class accounting must not change: the A/B
-    // comparison relies on identical counters in both modes.
-    let s = store_with(
-        DedupConfig::with_chunk_size(CS)
-            .cache_policy(CachePolicy::EvictAll)
-            .foreground_shards(SHARDS)
-            .exclusive_shard_reads(),
-    );
-    fill(&s, "ab", 3, t(0));
-    let _ = s
-        .read(ClientId(0), &ObjectName::new("ab"), 0, CS as u64, t(1))
-        .expect("read");
-    assert_ops_accounted(&s, 1, 1, "exclusive-read baseline");
-}
-
-#[test]
 fn background_flush_takes_no_shard_locks() {
     let mut s = sharded_store();
     fill(&s, "bg", 5, t(0));
